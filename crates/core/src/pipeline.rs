@@ -54,11 +54,6 @@ use rf_table::Table;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Process-wide count of analysis-context preparations.  The label cache's
-/// contract is that a warm hit performs *no* preparation; this counter is how
-/// the tests verify it.
-static PREPARATIONS: AtomicU64 = AtomicU64::new(0);
-
 /// Process-wide Monte-Carlo observability: estimator runs on the label hot
 /// path, trials actually performed, and runs truncated by their deadline
 /// budget.  Served (with the cache and scheduler counters) by `/stats`.
@@ -123,7 +118,6 @@ impl AnalysisContext {
     /// Configuration validation errors, ranking errors, fairness group
     /// extraction errors, or stability normalization errors.
     pub fn prepare(table: Arc<Table>, config: Arc<LabelConfig>) -> LabelResult<Self> {
-        PREPARATIONS.fetch_add(1, Ordering::Relaxed);
         config.validate(&table)?;
         let ranking = config.scoring.rank_table(&table)?;
         let mut protected_groups = Vec::new();
@@ -161,7 +155,6 @@ impl AnalysisContext {
         config: Arc<LabelConfig>,
         pool: &rf_runtime::ThreadPool,
     ) -> LabelResult<Self> {
-        PREPARATIONS.fetch_add(1, Ordering::Relaxed);
         config.validate(&table)?;
 
         // Row-shard scoring: fit once, score disjoint ranges as a scheduler
@@ -270,16 +263,6 @@ impl AnalysisContext {
     #[must_use]
     pub fn top_k(&self) -> usize {
         self.config.top_k
-    }
-
-    /// Process-wide count of analysis-context preparations (any schedule).
-    ///
-    /// Monotonically increasing; tests diff it around an operation to prove
-    /// the operation prepared (or, for a warm cache hit, did not prepare) a
-    /// context.
-    #[must_use]
-    pub fn preparations() -> u64 {
-        PREPARATIONS.load(Ordering::Relaxed)
     }
 }
 
@@ -595,6 +578,10 @@ enum Schedule {
 pub struct AnalysisPipeline {
     schedule: Schedule,
     pool: Option<Arc<rf_runtime::ThreadPool>>,
+    /// Contexts this pipeline and its clones prepared.  The label cache's
+    /// contract is that a warm hit performs *no* preparation; this counter is
+    /// how the tests verify it.
+    preparations: Arc<AtomicU64>,
 }
 
 impl Default for AnalysisPipeline {
@@ -610,6 +597,7 @@ impl AnalysisPipeline {
         AnalysisPipeline {
             schedule: Schedule::Parallel,
             pool: None,
+            preparations: Arc::default(),
         }
     }
 
@@ -619,6 +607,7 @@ impl AnalysisPipeline {
         AnalysisPipeline {
             schedule: Schedule::Parallel,
             pool: Some(pool),
+            preparations: Arc::default(),
         }
     }
 
@@ -630,6 +619,7 @@ impl AnalysisPipeline {
         AnalysisPipeline {
             schedule: Schedule::Sequential,
             pool: None,
+            preparations: Arc::default(),
         }
     }
 
@@ -638,6 +628,13 @@ impl AnalysisPipeline {
             Some(pool) => pool,
             None => rf_runtime::global(),
         }
+    }
+
+    /// Contexts this pipeline and its clones prepared so far (monotonic;
+    /// other pipelines in the process do not move it).
+    #[must_use]
+    pub fn preparations(&self) -> u64 {
+        self.preparations.load(Ordering::Relaxed)
     }
 
     /// Observability counters of the scheduler this pipeline fans out on
@@ -660,6 +657,7 @@ impl AnalysisPipeline {
         table: Arc<Table>,
         config: Arc<LabelConfig>,
     ) -> LabelResult<Arc<AnalysisContext>> {
+        self.preparations.fetch_add(1, Ordering::Relaxed);
         let started = std::time::Instant::now();
         let ctx = match self.schedule {
             Schedule::Sequential => AnalysisContext::prepare(table, config)?,
@@ -927,11 +925,15 @@ mod tests {
     #[test]
     fn preparation_counter_moves_once_per_prepare() {
         let (table, config) = scenario();
-        let before = AnalysisContext::preparations();
-        AnalysisContext::prepare(Arc::clone(&table), Arc::clone(&config)).unwrap();
-        // Other tests run concurrently, so the counter can only be asserted
-        // to have moved at least once per preparation here.
-        assert!(AnalysisContext::preparations() > before);
+        let pipeline = AnalysisPipeline::sequential();
+        let clone = pipeline.clone();
+        pipeline
+            .prepare(Arc::clone(&table), Arc::clone(&config))
+            .unwrap();
+        assert_eq!(pipeline.preparations(), 1);
+        clone.prepare(table, config).unwrap();
+        assert_eq!(pipeline.preparations(), 2, "clones share the counter");
+        assert_eq!(AnalysisPipeline::sequential().preparations(), 0);
     }
 
     #[test]

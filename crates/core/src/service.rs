@@ -8,7 +8,7 @@
 //!    re-uploaded byte-identical table hits the same entry),
 //! 2. answers warm requests from the bounded LRU [`LabelCache`] with **zero**
 //!    analysis work (no context preparation — asserted by the cache-parity
-//!    tests via [`AnalysisContext::preparations`]),
+//!    tests via [`ServiceStats::preparations`]),
 //! 3. on a miss, generates through the pipeline, renders the JSON once, and
 //!    caches both, and
 //! 4. coalesces concurrent misses for the same key (**single-flight**): the
@@ -29,7 +29,7 @@
 use crate::cache::{CacheKey, CacheStats, CachedLabel, LabelCache};
 use crate::config::LabelConfig;
 use crate::error::{LabelError, LabelResult};
-use crate::pipeline::{AnalysisContext, AnalysisPipeline};
+use crate::pipeline::AnalysisPipeline;
 use rf_table::Table;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,14 +42,14 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 128;
 /// verification (see [`LabelCache`]): 64 MiB.
 pub const DEFAULT_CACHE_BYTES: usize = 64 * 1024 * 1024;
 
-/// A point-in-time view of the service: cache counters, the process-wide
-/// preparation count (how many analysis contexts were ever prepared), and
-/// the execution scheduler's observability counters.
+/// A point-in-time view of the service: cache counters, the service's
+/// preparation count (how many analysis contexts it prepared), and the
+/// execution scheduler's observability counters.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct ServiceStats {
     /// Cache counters and occupancy.
     pub cache: CacheStats,
-    /// Process-wide [`AnalysisContext`] preparations so far.
+    /// Analysis-context preparations this service's pipeline ran so far.
     pub preparations: u64,
     /// Requests that joined another request's in-flight generation instead
     /// of repeating it (single-flight coalescing).
@@ -639,13 +639,13 @@ impl LabelService {
     }
 
     /// Counters: cache hits/misses/evictions/expiries/occupancy, the
-    /// process-wide preparation count, and the scheduler's observability
+    /// service's preparation count, and the scheduler's observability
     /// counters.  Served by the HTTP `/stats` endpoint.
     #[must_use]
     pub fn stats(&self) -> ServiceStats {
         ServiceStats {
             cache: self.cache.lock().expect("label cache lock").stats(),
-            preparations: AnalysisContext::preparations(),
+            preparations: self.pipeline.preparations(),
             coalesced: self.coalesced.load(Ordering::Relaxed),
             scheduler: self.pipeline.scheduler_stats(),
             monte_carlo: crate::pipeline::monte_carlo_runtime_stats(),
@@ -949,11 +949,10 @@ mod tests {
         // "Restart": a brand-new service (empty memory tier) over the same
         // directory.  Its first request is a disk hit — no pipeline work.
         let service = disk_service(&scratch.0, None);
-        let prepared_before = AnalysisContext::preparations();
         let warm = service.label(&table, &config).unwrap();
         assert_eq!(
-            AnalysisContext::preparations(),
-            prepared_before,
+            service.stats().preparations,
+            0,
             "a disk hit performs zero preparations"
         );
         assert_eq!(warm.json, cold.json, "stored bytes served verbatim");

@@ -22,11 +22,209 @@
 //!
 //! Ranking Facts uses FA*IR "to quantify fairness in every prefix of a top-k
 //! list" (paper §2.3).
+//!
+//! **Cost.** One test builds the binomial CDFs of all its prefixes once, as
+//! running pmf sums in the order `rf_stats` adds them: about `p·k²/2` O(1)
+//! pmf terms.  Every table, the adjustment and the per-prefix p-values read
+//! from them, so each minimum table costs O(k log k), and the adjustment's
+//! 50-step bisection runs its O(k²) dynamic program only for tables it has
+//! not already evaluated at an end of the search interval.  The sums are
+//! capped at 8 MiB per test; a larger `k` reads every CDF from `rf_stats`
+//! directly, as before, in O(k) memory.  Every result has exactly the bits
+//! of the direct computation.
 
 use crate::error::{FairnessError, FairnessResult};
 use crate::group::ProtectedGroup;
 use rf_ranking::Ranking;
-use rf_stats::{binomial_cdf, binomial_quantile};
+use rf_stats::{binomial_cdf, binomial_pmf, binomial_quantile};
+
+/// Most running sums one [`PrefixCdf`] stores: 2²⁰ f64s, 8 MiB.  That
+/// covers `k` up to about 2000 at `p = 0.5`; `top_k` is bounded only by the
+/// row count, so a larger test keeps no rows at all.
+const MAX_STORED_SUMS: usize = 1 << 20;
+
+/// The binomial CDFs `F(m; i, p)` of every prefix length `i ∈ 1..=k`, built
+/// once per `(k, p)` and shared by every table and p-value of one test.
+///
+/// Row `i` holds the running sums of `binomial_pmf(j; i, p)` for
+/// `j = 0, 1, …`, added in the order [`binomial_cdf`] and
+/// [`binomial_quantile`] add them, so [`cdf`](PrefixCdf::cdf) and
+/// [`quantile`](PrefixCdf::quantile) return exactly those functions' bits.
+/// A row stops after its first sum above `level`: no table at a level up to
+/// `level` looks further, so the rows hold about `p·k²/2` sums, not `k²`.
+/// When that exceeds [`MAX_STORED_SUMS`], no rows are kept and every lookup
+/// calls the `rf_stats` functions directly, in O(k) memory.
+pub(crate) struct PrefixCdf {
+    k: usize,
+    p: f64,
+    /// The largest significance level the rows are guaranteed to cover.
+    level: f64,
+    /// `None` when the rows would exceed the budget.
+    rows: Option<Rows>,
+}
+
+/// Row `i` is `sums[starts[i - 1]..starts[i]]`; `starts[0] == 0`.
+struct Rows {
+    starts: Vec<usize>,
+    sums: Vec<f64>,
+}
+
+impl PrefixCdf {
+    /// Builds the rows for prefix lengths `1..=k`, or none past
+    /// [`MAX_STORED_SUMS`].
+    ///
+    /// # Errors
+    /// Returns an error unless `0 < p < 1`, `0 < level < 1`, and `k > 0`.
+    pub(crate) fn new(k: usize, p: f64, level: f64) -> FairnessResult<Self> {
+        Self::with_budget(k, p, level, MAX_STORED_SUMS)
+    }
+
+    fn with_budget(k: usize, p: f64, level: f64, budget: usize) -> FairnessResult<Self> {
+        validate_p_alpha(p, level)?;
+        if k == 0 {
+            return Err(FairnessError::InvalidK { k, n: 0 });
+        }
+        Ok(PrefixCdf {
+            k,
+            p,
+            level,
+            rows: Rows::build(k, p, level, budget)?,
+        })
+    }
+
+    fn row(&self, i: usize) -> Option<&[f64]> {
+        self.rows
+            .as_ref()
+            .map(|rows| &rows.sums[rows.starts[i - 1]..rows.starts[i]])
+    }
+
+    /// `binomial_cdf(m, i, p)`, bit for bit.
+    fn cdf(&self, m: usize, i: usize) -> FairnessResult<f64> {
+        if m >= i {
+            return Ok(1.0);
+        }
+        match self.row(i).and_then(|row| row.get(m)) {
+            Some(&sum) => Ok(sum.min(1.0)),
+            None => Ok(binomial_cdf(m as u64, i as u64, self.p)?),
+        }
+    }
+
+    /// `binomial_quantile(q, i, p)` for `0 ≤ q ≤ self.level`, bit for bit.
+    fn quantile(&self, q: f64, i: usize) -> FairnessResult<usize> {
+        let Some(row) = self.row(i) else {
+            return Ok(binomial_quantile(q, i as u64, self.p)? as usize);
+        };
+        // Running sums never decrease, so the first one reaching the target
+        // is a partition point.  A cut row ends above `level ≥ q`; only a
+        // full row (`i + 1` sums) can stay below the target throughout, and
+        // then `binomial_quantile` answers `i`.
+        let m = row.partition_point(|&sum| sum < q - 1e-12);
+        debug_assert!(m < row.len() || row.len() == i + 1, "q above level");
+        Ok(m.min(i))
+    }
+
+    /// [`minimum_protected_table`] at `alpha ≤ self.level`.
+    fn minimum_table(&self, alpha: f64) -> FairnessResult<Vec<usize>> {
+        let mut table = Vec::with_capacity(self.k);
+        for i in 1..=self.k {
+            // Smallest m with F(m; i, p) > alpha.  The binomial quantile
+            // returns the smallest m with F(m) >= alpha; step forward while
+            // F(m) <= alpha.
+            let mut m = self.quantile(alpha, i)?;
+            while self.cdf(m, i)? <= alpha && m < i {
+                m += 1;
+            }
+            // The required minimum is m such that having FEWER than m fails,
+            // i.e. counts c with F(c) <= alpha are rejected; the minimum
+            // acceptable count is the smallest c with F(c) > alpha.
+            table.push(m);
+        }
+        Ok(table)
+    }
+
+    /// [`adjust_alpha`] for `alpha = self.level`.
+    ///
+    /// Bisection over `α_c ∈ (0, alpha]`; the failure probability is a
+    /// non-decreasing step function of `α_c`.  Each probe's table costs
+    /// O(k log k) here, and the O(k²) [`failure_probability`] runs only for
+    /// a table that differs from both ends of the interval: late probes land
+    /// on one of the two boundary tables, whose failures are carried along.
+    fn adjust_alpha(&self) -> FairnessResult<f64> {
+        let alpha = self.level;
+        // If even the unadjusted table keeps the family-wise failure below
+        // alpha, no adjustment is needed.
+        let unadjusted = self.minimum_table(alpha)?;
+        let unadjusted_failure = failure_probability(&unadjusted, self.p);
+        if unadjusted_failure <= alpha {
+            return Ok(alpha);
+        }
+        let mut lo = 0.0f64;
+        let mut hi = alpha;
+        let mut lo_end: Option<(Vec<usize>, f64)> = None;
+        let mut hi_end = (unadjusted, unadjusted_failure);
+        // 50 bisection steps put the interval width far below any meaningful
+        // difference in the resulting m-table.
+        for _ in 0..50 {
+            let mid = 0.5 * (lo + hi);
+            if mid <= 0.0 {
+                break;
+            }
+            let table = self.minimum_table(mid)?;
+            let fail = match &lo_end {
+                Some((lo_table, lo_fail)) if *lo_table == table => *lo_fail,
+                _ if hi_end.0 == table => hi_end.1,
+                _ => failure_probability(&table, self.p),
+            };
+            if fail > alpha {
+                hi = mid;
+                hi_end = (table, fail);
+            } else {
+                lo = mid;
+                lo_end = Some((table, fail));
+            }
+        }
+        // `lo` is the largest tested level whose family-wise failure stays
+        // within alpha; guard against the degenerate case where even tiny
+        // levels fail.
+        Ok(if lo > 0.0 { lo } else { hi * 0.5 })
+    }
+
+    /// The per-prefix significance level (`self.level`, adjusted for
+    /// multiple testing when `adjust` is set) and its minimum table.
+    pub(crate) fn required(&self, adjust: bool) -> FairnessResult<(f64, Vec<usize>)> {
+        let alpha = if adjust {
+            self.adjust_alpha()?
+        } else {
+            self.level
+        };
+        Ok((alpha, self.minimum_table(alpha)?))
+    }
+}
+
+impl Rows {
+    /// The cut rows of prefix lengths `1..=k`, or `None` as soon as they
+    /// would hold more than `budget` sums.
+    fn build(k: usize, p: f64, level: f64, budget: usize) -> FairnessResult<Option<Rows>> {
+        let mut starts = Vec::with_capacity(k + 1);
+        let mut sums = Vec::new();
+        starts.push(0);
+        for i in 1..=k as u64 {
+            let mut acc = 0.0;
+            for j in 0..=i {
+                if sums.len() == budget {
+                    return Ok(None);
+                }
+                acc += binomial_pmf(j, i, p)?;
+                sums.push(acc);
+                if acc > level {
+                    break;
+                }
+            }
+            starts.push(sums.len());
+        }
+        Ok(Some(Rows { starts, sums }))
+    }
+}
 
 /// Computes the FA*IR minimum-protected-count table: entry `i-1` is the
 /// minimum number of protected candidates required among the first `i`
@@ -35,24 +233,7 @@ use rf_stats::{binomial_cdf, binomial_quantile};
 /// # Errors
 /// Returns an error unless `0 < p < 1`, `0 < alpha < 1`, and `k > 0`.
 pub fn minimum_protected_table(k: usize, p: f64, alpha: f64) -> FairnessResult<Vec<usize>> {
-    validate_p_alpha(p, alpha)?;
-    if k == 0 {
-        return Err(FairnessError::InvalidK { k, n: 0 });
-    }
-    let mut table = Vec::with_capacity(k);
-    for i in 1..=k {
-        // Smallest m with F(m; i, p) > alpha.  The binomial quantile returns
-        // the smallest m with F(m) >= alpha; step forward while F(m) <= alpha.
-        let mut m = binomial_quantile(alpha, i as u64, p)?;
-        while binomial_cdf(m, i as u64, p)? <= alpha && m < i as u64 {
-            m += 1;
-        }
-        // The required minimum is m such that having FEWER than m fails, i.e.
-        // counts c with F(c) <= alpha are rejected; the minimum acceptable
-        // count is the smallest c with F(c) > alpha.
-        table.push(m as usize);
-    }
-    Ok(table)
+    PrefixCdf::new(k, p, alpha)?.minimum_table(alpha)
 }
 
 /// Exact probability that a ranking generated by the fair model (each of the
@@ -61,7 +242,7 @@ pub fn minimum_protected_table(k: usize, p: f64, alpha: f64) -> FairnessResult<V
 ///
 /// Computed with a dynamic program over (position, protected count) states;
 /// states that fall below the required minimum at a position are removed and
-/// their mass accumulated as failure probability.
+/// their mass accumulated as failure probability.  Costs O(k²).
 #[must_use]
 pub fn failure_probability(m_table: &[usize], p: f64) -> f64 {
     let k = m_table.len();
@@ -95,42 +276,17 @@ pub fn failure_probability(m_table: &[usize], p: f64) -> f64 {
 /// probability of a fair ranking failing the per-prefix test at `α_c` is as
 /// close as possible to (and not exceeding) the requested `alpha`.
 ///
-/// Uses binary search over `α_c ∈ (0, alpha]`; the failure probability is a
-/// non-decreasing step function of `α_c`.
+/// Uses 50 steps of bisection over `α_c ∈ (0, alpha]`; the failure
+/// probability is a non-decreasing step function of `α_c`.  The binomial
+/// CDFs of all prefixes are built once (about `p·k²/2` pmf terms, up to
+/// 8 MiB; a larger `k` computes each CDF directly), each probe's table is
+/// then O(k log k), and the O(k²) exact failure probability runs only for
+/// tables not already seen at an end of the interval.
 ///
 /// # Errors
 /// Returns an error unless `0 < p < 1`, `0 < alpha < 1`, and `k > 0`.
 pub fn adjust_alpha(k: usize, p: f64, alpha: f64) -> FairnessResult<f64> {
-    validate_p_alpha(p, alpha)?;
-    if k == 0 {
-        return Err(FairnessError::InvalidK { k, n: 0 });
-    }
-    // If even the unadjusted table keeps the family-wise failure below alpha,
-    // no adjustment is needed.
-    let unadjusted = failure_probability(&minimum_protected_table(k, p, alpha)?, p);
-    if unadjusted <= alpha {
-        return Ok(alpha);
-    }
-    let mut lo = 0.0f64;
-    let mut hi = alpha;
-    // 50 bisection steps put the interval width far below any meaningful
-    // difference in the resulting m-table.
-    for _ in 0..50 {
-        let mid = 0.5 * (lo + hi);
-        if mid <= 0.0 {
-            break;
-        }
-        let table = minimum_protected_table(k, p, mid)?;
-        let fail = failure_probability(&table, p);
-        if fail > alpha {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    // `lo` is the largest tested level whose family-wise failure stays within
-    // alpha; guard against the degenerate case where even tiny levels fail.
-    Ok(if lo > 0.0 { lo } else { hi * 0.5 })
+    PrefixCdf::new(k, p, alpha)?.adjust_alpha()
 }
 
 /// Configuration of a FA*IR test.
@@ -200,12 +356,8 @@ impl FairStarTest {
             });
         }
         let members = group.membership_in_rank_order(ranking)?;
-        let alpha_adjusted = if self.adjust {
-            adjust_alpha(self.k, self.p, self.alpha)?
-        } else {
-            self.alpha
-        };
-        let required = minimum_protected_table(self.k, self.p, alpha_adjusted)?;
+        let cdfs = PrefixCdf::new(self.k, self.p, self.alpha)?;
+        let (alpha_adjusted, required) = cdfs.required(self.adjust)?;
 
         let mut observed = Vec::with_capacity(self.k);
         let mut count = 0usize;
@@ -217,7 +369,7 @@ impl FairStarTest {
                 count += 1;
             }
             observed.push(count);
-            let cdf = binomial_cdf(count as u64, i as u64, self.p)?;
+            let cdf = cdfs.cdf(count, i)?;
             if cdf < worst_prefix_cdf {
                 worst_prefix_cdf = cdf;
             }
@@ -283,6 +435,174 @@ fn validate_p_alpha(p: f64, alpha: f64) -> FairnessResult<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The minimum table and bisection computed directly: every probe
+    /// rebuilds its table from the `rf_stats` functions and runs the exact
+    /// DP.  The reference the fast path must match bit for bit.
+    fn reference_table(k: usize, p: f64, alpha: f64) -> Vec<usize> {
+        (1..=k as u64)
+            .map(|i| {
+                let mut m = binomial_quantile(alpha, i, p).unwrap();
+                while binomial_cdf(m, i, p).unwrap() <= alpha && m < i {
+                    m += 1;
+                }
+                m as usize
+            })
+            .collect()
+    }
+
+    fn reference_adjust_alpha(k: usize, p: f64, alpha: f64) -> f64 {
+        if failure_probability(&reference_table(k, p, alpha), p) <= alpha {
+            return alpha;
+        }
+        let mut lo = 0.0f64;
+        let mut hi = alpha;
+        for _ in 0..50 {
+            let mid = 0.5 * (lo + hi);
+            if mid <= 0.0 {
+                break;
+            }
+            if failure_probability(&reference_table(k, p, mid), p) > alpha {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        if lo > 0.0 {
+            lo
+        } else {
+            hi * 0.5
+        }
+    }
+
+    #[test]
+    fn adjust_alpha_matches_golden_pins() {
+        // Values of the direct computation at alpha = 0.05; labels print
+        // them, so any drift in the last bit changes label bytes.
+        let pins = [
+            (20, 0.5, 2.069473266601554e-2),
+            (100, 0.5, 9.605407714843752e-3),
+            (87, 0.3, 1.2095017416632055e-2),
+            (100, 0.3, 1.1475851600401477e-2),
+            (300, 0.3, 6.78223072848998e-3),
+        ];
+        for (k, p, expected) in pins {
+            let got = adjust_alpha(k, p, 0.05).unwrap();
+            assert_eq!(
+                got.to_bits(),
+                f64::to_bits(expected),
+                "k={k} p={p}: {got:e}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn prefix_cdf_matches_rf_stats_bit_for_bit(
+            k in 1usize..301,
+            p in 0.001..0.999f64,
+            alpha in 0.001..0.5f64,
+            q_share in 0.0001..1.0f64,
+            row_share in 0.0..1.0f64,
+        ) {
+            let cdfs = PrefixCdf::new(k, p, alpha).unwrap();
+            let q = alpha * q_share;
+            let i = 1 + ((k - 1) as f64 * row_share) as usize;
+            for level in [q, alpha] {
+                prop_assert_eq!(
+                    cdfs.quantile(level, i).unwrap() as u64,
+                    binomial_quantile(level, i as u64, p).unwrap(),
+                    "quantile({}, {})", level, i
+                );
+            }
+            for m in 0..=i + 1 {
+                let expected = binomial_cdf(m as u64, i as u64, p).unwrap();
+                prop_assert_eq!(
+                    cdfs.cdf(m, i).unwrap().to_bits(),
+                    expected.to_bits(),
+                    "cdf({}, {})", m, i
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn full_rows_answer_like_rf_stats_at_the_highest_level() {
+        // Below 1.0 only a row's full pmf total can stay under this level,
+        // so some rows keep all `i + 1` sums.
+        let level = 1.0 - f64::EPSILON / 2.0;
+        let mut full_rows = 0;
+        for p in [0.1, 0.5, 0.9] {
+            let cdfs = PrefixCdf::new(60, p, level).unwrap();
+            for i in 1..=60 {
+                full_rows += usize::from(cdfs.row(i).unwrap().len() == i + 1);
+                assert_eq!(
+                    cdfs.quantile(level, i).unwrap() as u64,
+                    binomial_quantile(level, i as u64, p).unwrap(),
+                    "p={p} i={i}"
+                );
+            }
+        }
+        assert!(full_rows > 0, "no row kept all its sums");
+    }
+
+    #[test]
+    fn a_test_past_the_budget_keeps_no_rows() {
+        // k = 10⁶ would need about 2.5·10¹¹ sums; the build stops at the
+        // budget and every lookup goes to rf_stats.
+        let cdfs = PrefixCdf::new(1_000_000, 0.5, 0.05).unwrap();
+        assert!(cdfs.rows.is_none());
+        assert_eq!(
+            cdfs.cdf(40, 100).unwrap().to_bits(),
+            binomial_cdf(40, 100, 0.5).unwrap().to_bits()
+        );
+        assert_eq!(
+            cdfs.quantile(0.05, 100).unwrap() as u64,
+            binomial_quantile(0.05, 100, 0.5).unwrap()
+        );
+        // Label-sized tests stay within it.
+        assert!(PrefixCdf::new(1500, 0.5, 0.05).unwrap().rows.is_some());
+    }
+
+    #[test]
+    fn rowless_tests_match_the_direct_computation() {
+        for (k, p, alpha, budget) in [(20, 0.5, 0.05, 0), (45, 0.3, 0.1, 0), (60, 0.7, 0.05, 200)] {
+            let cdfs = PrefixCdf::with_budget(k, p, alpha, budget).unwrap();
+            assert!(cdfs.rows.is_none(), "k={k} budget={budget}");
+            let reference = reference_adjust_alpha(k, p, alpha);
+            assert_eq!(
+                cdfs.adjust_alpha().unwrap().to_bits(),
+                reference.to_bits(),
+                "k={k} p={p}"
+            );
+            assert_eq!(
+                cdfs.minimum_table(reference).unwrap(),
+                reference_table(k, p, reference)
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn adjust_alpha_matches_reference_bisection(
+            k in 1usize..301,
+            p in 0.01..0.99f64,
+            alpha in 0.005..0.3f64,
+        ) {
+            let fast = adjust_alpha(k, p, alpha).unwrap();
+            let reference = reference_adjust_alpha(k, p, alpha);
+            prop_assert_eq!(fast.to_bits(), reference.to_bits(), "{} vs {}", fast, reference);
+            prop_assert_eq!(
+                minimum_protected_table(k, p, fast).unwrap(),
+                reference_table(k, p, fast)
+            );
+        }
+    }
 
     fn group_from(members: &[bool]) -> ProtectedGroup {
         ProtectedGroup::from_membership("g", "x", members.to_vec()).unwrap()

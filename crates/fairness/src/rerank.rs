@@ -21,7 +21,7 @@
 //! score loss, and the rank correlation with the original order.
 
 use crate::error::{FairnessError, FairnessResult};
-use crate::fair_star::{adjust_alpha, minimum_protected_table, FairStarTest};
+use crate::fair_star::{FairStarTest, PrefixCdf};
 use crate::group::ProtectedGroup;
 use rf_ranking::{kendall_tau_rankings, Ranking};
 
@@ -101,12 +101,8 @@ impl FairRerank {
         }
         let members = group.membership_in_rank_order(ranking)?;
 
-        let alpha_used = if self.adjust {
-            adjust_alpha(self.k, self.p, self.alpha)?
-        } else {
-            self.alpha
-        };
-        let required = minimum_protected_table(self.k, self.p, alpha_used)?;
+        let (alpha_used, required) =
+            PrefixCdf::new(self.k, self.p, self.alpha)?.required(self.adjust)?;
 
         // Feasibility: the dataset must contain at least m(k) protected items.
         let total_protected = members.iter().filter(|&&m| m).count();

@@ -2,17 +2,17 @@
 //!
 //! Each [`Reactor`](crate::Reactor) owns one [`ReactorMetrics`]; the server
 //! keeps a clone of every reactor's `Arc` and rolls them up into `/stats`.
-//! The counters are plain relaxed atomics — cheap enough for the accept
-//! path — but the *snapshot* discipline makes the rollup safe: only the
-//! monotonic `accepted` and `closed` totals are stored, and a snapshot
-//! reads `closed` **before** `accepted`.  A close can only follow the
-//! accept that opened the connection, so the closed value a snapshot sees
-//! can never exceed the accepted value it reads afterwards — deriving
-//! `active = accepted − closed` therefore never yields `active > accepted`
-//! (or an underflow), no matter how the scrape interleaves with the
-//! reactors.  Storing `active` directly would not have that property: a
-//! scrape between the increment and decrement of two reactors could report
-//! more active connections than were ever accepted.
+//! The counters are plain atomics — cheap enough for the accept path — and
+//! the open-connection count is a real gauge, up on accept and down on
+//! close.  An accept bumps the monotonic `accepted` total first and then the
+//! gauge with `Release`; a snapshot loads the gauge with `Acquire` **before**
+//! it loads `accepted`.  Every write to the gauge is a read-modify-write, so
+//! each `Release` increment synchronizes with any later `Acquire` load of it:
+//! every connection the loaded gauge counts is already in the `accepted`
+//! value read next, and `active ≤ accepted` holds in every snapshot.
+//! Deriving `active = accepted − closed` from two totals would not: between
+//! the two loads a reactor can finish any number of accept/close cycles,
+//! each of which lands in one total but not the other.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -23,8 +23,8 @@ use std::sync::Arc;
 pub struct ReactorMetrics {
     /// Connections accepted (monotonic).
     accepted: AtomicU64,
-    /// Connections fully closed (monotonic; `active` is derived).
-    closed: AtomicU64,
+    /// Connections currently open (a gauge: up on accept, down on close).
+    active: AtomicU64,
     /// Requests handed to [`Dispatch::dispatch`](crate::Dispatch::dispatch).
     dispatched: AtomicU64,
     /// Responses delivered back through the completion channel.
@@ -45,13 +45,16 @@ impl ReactorMetrics {
     /// Records an accepted connection.
     pub fn on_accepted(&self) {
         self.accepted.fetch_add(1, Ordering::Relaxed);
+        // Release pairs with the Acquire gauge load in `snapshot`: a
+        // snapshot that counts this connection also sees it in `accepted`.
+        self.active.fetch_add(1, Ordering::Release);
     }
 
     /// Records a closed connection.  Must follow the matching
     /// [`on_accepted`](ReactorMetrics::on_accepted) — the reactor only
     /// closes connections it tracked.
     pub fn on_closed(&self) {
-        self.closed.fetch_add(1, Ordering::Relaxed);
+        self.active.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Records a request handed to the application.
@@ -74,16 +77,16 @@ impl ReactorMetrics {
         self.shed_requests.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A consistent point-in-time view.  Reads `closed` before `accepted`
-    /// (see the module docs), so `active ≤ accepted` holds in every
-    /// snapshot even while the reactor is mid-accept or mid-close.
+    /// A consistent point-in-time view.  Reads the `active` gauge before
+    /// `accepted` (see the module docs), so `active ≤ accepted` holds in
+    /// every snapshot even while the reactor is mid-accept or mid-close.
     #[must_use]
     pub fn snapshot(&self) -> ReactorSnapshot {
-        let closed = self.closed.load(Ordering::Acquire);
-        let accepted = self.accepted.load(Ordering::Acquire);
+        let active = self.active.load(Ordering::Acquire);
+        let accepted = self.accepted.load(Ordering::Relaxed);
         ReactorSnapshot {
             accepted,
-            active: accepted.saturating_sub(closed),
+            active,
             dispatched: self.dispatched.load(Ordering::Relaxed),
             completions: self.completions.load(Ordering::Relaxed),
             shed_connections: self.shed_connections.load(Ordering::Relaxed),
@@ -97,7 +100,7 @@ impl ReactorMetrics {
 pub struct ReactorSnapshot {
     /// Connections accepted since start.
     pub accepted: u64,
-    /// Connections currently open (derived: accepted − closed).
+    /// Connections currently open.
     pub active: u64,
     /// Requests handed to the application.
     pub dispatched: u64,

@@ -111,7 +111,7 @@ impl AppState {
     }
 
     /// A consistent snapshot of the I/O plane, or `None` when no server is
-    /// running over this state.  Uses rf-net's closed-before-accepted
+    /// running over this state.  Uses rf-net's gauge-before-accepted
     /// snapshot discipline, so `active ≤ accepted` holds per shard and in
     /// the totals even while a scrape races the reactors.
     #[must_use]
@@ -193,8 +193,8 @@ pub fn route(state: &AppState, request: &Request) -> Response {
     }
 }
 
-/// `GET /stats` — label-cache counters, the process-wide preparation
-/// count, and (when a server is running) the per-reactor I/O counters, for
+/// `GET /stats` — label-cache counters, the service's preparation count,
+/// and (when a server is running) the per-reactor I/O counters, for
 /// observing hit and shed rates in production.
 fn service_stats(state: &AppState) -> Response {
     let mut stats = state.labels.stats();

@@ -15,6 +15,7 @@
 //! label.
 
 use crate::error::{StatsError, StatsResult};
+use std::sync::OnceLock;
 
 /// Probability density of the standard normal distribution at `x`.
 #[must_use]
@@ -125,7 +126,8 @@ pub fn normal_quantile(p: f64) -> StatsResult<f64> {
 
 /// Probability mass function of `Binomial(n, p)` at `k`.
 ///
-/// Computed in log space to stay accurate for large `n`.
+/// Computed in log space to stay accurate for large `n`, in O(1): `ln n!`
+/// is a table lookup below 256 and Stirling's series above.
 ///
 /// # Errors
 /// Returns an error unless `p ∈ [0, 1]` and `k ≤ n`.
@@ -149,6 +151,10 @@ pub fn binomial_pmf(k: u64, n: u64, p: f64) -> StatsResult<f64> {
 
 /// Cumulative distribution function of `Binomial(n, p)`: `P[X ≤ k]`.
 ///
+/// Sums the pmf left to right over `0..=k`, so one call costs O(k).  Callers
+/// that need many CDF values of one `(n, p)` can keep the running sums
+/// instead: they are exactly this function's results.
+///
 /// # Errors
 /// Returns an error unless `p ∈ [0, 1]`.
 pub fn binomial_cdf(k: u64, n: u64, p: f64) -> StatsResult<f64> {
@@ -166,6 +172,9 @@ pub fn binomial_cdf(k: u64, n: u64, p: f64) -> StatsResult<f64> {
 /// Smallest `k` such that `P[X ≤ k] ≥ q` for `X ~ Binomial(n, p)` — the
 /// binomial quantile function.  FA*IR uses the lower `α` quantile to derive
 /// the minimum number of protected candidates required in each ranking prefix.
+///
+/// Accumulates the pmf in the same order as [`binomial_cdf`] and stops at the
+/// answer, so one call costs O(answer).
 ///
 /// # Errors
 /// Returns an error unless `p ∈ [0, 1]` and `q ∈ [0, 1]`.
@@ -195,19 +204,33 @@ fn ln_choose(n: u64, k: u64) -> f64 {
     ln_factorial(n) - ln_factorial(k) - ln_factorial(n - k)
 }
 
-/// Natural log of `n!` using Stirling's series for large `n` and a direct sum
-/// for small `n`.
+/// Natural log of `n!`: a table lookup for `n < 256`, Stirling's series above.
 fn ln_factorial(n: u64) -> f64 {
-    if n < 2 {
-        return 0.0;
-    }
-    if n < 256 {
-        return (2..=n).map(|i| (i as f64).ln()).sum();
+    if n < LN_FACTORIAL_TABLE_LEN as u64 {
+        return ln_factorial_table()[n as usize];
     }
     // Stirling series with three correction terms.
     let x = n as f64;
     x * x.ln() - x + 0.5 * (2.0 * std::f64::consts::PI * x).ln() + 1.0 / (12.0 * x)
         - 1.0 / (360.0 * x.powi(3))
+}
+
+/// Arguments below this bound read `ln n!` from [`ln_factorial_table`].
+const LN_FACTORIAL_TABLE_LEN: usize = 256;
+
+/// `ln n!` for every `n < LN_FACTORIAL_TABLE_LEN`, filled once with the
+/// left-to-right running sum `ln 2 + ln 3 + … + ln n`.  That is the order
+/// `(2..=n).map(ln).sum()` adds in, so each entry has exactly the bits of
+/// the direct sum, while a lookup costs O(1) instead of O(n).
+fn ln_factorial_table() -> &'static [f64; LN_FACTORIAL_TABLE_LEN] {
+    static TABLE: OnceLock<[f64; LN_FACTORIAL_TABLE_LEN]> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut table = [0.0; LN_FACTORIAL_TABLE_LEN];
+        for n in 2..LN_FACTORIAL_TABLE_LEN {
+            table[n] = table[n - 1] + (n as f64).ln();
+        }
+        table
+    })
 }
 
 fn validate_binomial(_n: u64, p: f64) -> StatsResult<()> {
@@ -353,6 +376,20 @@ mod tests {
         assert_eq!(binomial_quantile(0.1, 4, 0.5).unwrap(), 1);
         assert_eq!(binomial_quantile(0.1, 8, 0.5).unwrap(), 2);
         assert_eq!(binomial_quantile(0.1, 15, 0.5).unwrap(), 5);
+    }
+
+    #[test]
+    fn ln_factorial_table_matches_direct_sum_bit_for_bit() {
+        // The direct sum, with `ln 0! = ln 1! = +0.0` (an empty float sum
+        // would be `-0.0`).
+        for n in 0..LN_FACTORIAL_TABLE_LEN as u64 {
+            let direct: f64 = if n < 2 {
+                0.0
+            } else {
+                (2..=n).map(|i| (i as f64).ln()).sum()
+            };
+            assert_eq!(ln_factorial(n).to_bits(), direct.to_bits(), "n = {n}");
+        }
     }
 
     #[test]

@@ -3,12 +3,9 @@
 //! request is served from it — zero context preparations, byte-identical
 //! bytes — then promoted so the second request is a plain memory hit.
 //!
-//! Everything counter-sensitive lives in ONE test function: the preparation
-//! counter is process-wide, so concurrently running sibling tests would race
-//! it.  (Each integration-test binary is its own process, so other test
-//! files cannot interfere.)
+//! The preparation counts are the restarted service's own.
 
-use rf_core::{AnalysisContext, AnalysisPipeline, LabelConfig, LabelService};
+use rf_core::{AnalysisPipeline, LabelConfig, LabelService};
 use rf_datasets::CsDepartmentsConfig;
 use rf_ranking::ScoringFunction;
 use rf_store::DiskStore;
@@ -71,10 +68,10 @@ fn a_restarted_service_serves_its_first_request_from_the_disk_tier() {
     // directory.  The first request must be a disk hit with ZERO pipeline
     // preparations, byte-identical to the pre-kill label.
     let service = disk_service(&scratch.0);
-    let prepared_before = AnalysisContext::preparations();
+    let prepared_before = service.stats().preparations;
     let first = service.label(&table, &config).unwrap();
     assert_eq!(
-        AnalysisContext::preparations(),
+        service.stats().preparations,
         prepared_before,
         "the restarted service's first request re-prepared nothing"
     );
@@ -96,9 +93,9 @@ fn a_restarted_service_serves_its_first_request_from_the_disk_tier() {
 
     // The promotion warmed the memory tier: the second request is a memory
     // hit and the disk tier is not consulted again.
-    let prepared_before = AnalysisContext::preparations();
+    let prepared_before = service.stats().preparations;
     let second = service.label(&table, &config).unwrap();
-    assert_eq!(AnalysisContext::preparations(), prepared_before);
+    assert_eq!(service.stats().preparations, prepared_before);
     assert_eq!(second.json, cold.json);
     let stats = service.stats();
     assert_eq!(stats.cache.hits, 1);
@@ -112,10 +109,10 @@ fn a_restarted_service_serves_its_first_request_from_the_disk_tier() {
     let disk = stats.disk.unwrap();
     assert_eq!(disk.entries, 0);
     assert_eq!(disk.bytes, 0);
-    let prepared_before = AnalysisContext::preparations();
+    let prepared_before = service.stats().preparations;
     let regenerated = service.label(&table, &config).unwrap();
     assert!(
-        AnalysisContext::preparations() > prepared_before,
+        service.stats().preparations > prepared_before,
         "after a purge the label really is recomputed"
     );
     assert_eq!(regenerated.json, cold.json);

@@ -4,12 +4,10 @@
 //! for any number of `k` values while remaining byte-identical to independent
 //! `generate` calls.
 //!
-//! Everything counter-sensitive lives in ONE test function: the preparation
-//! counter is process-wide, so concurrently running sibling tests would
-//! otherwise race it.  (Each integration-test binary is its own process, so
-//! other test files cannot interfere.)
+//! The preparation counts are read from the service and the pipeline that
+//! did the work, so concurrently running tests cannot move them.
 
-use rf_core::{AnalysisContext, AnalysisPipeline, LabelConfig, LabelService};
+use rf_core::{AnalysisPipeline, LabelConfig, LabelService};
 use rf_datasets::{CompasConfig, CsDepartmentsConfig, GermanCreditConfig};
 use rf_ranking::ScoringFunction;
 use rf_table::Table;
@@ -91,10 +89,10 @@ fn warm_hits_and_sweeps_reuse_one_preparation_on_all_scenarios() {
             "{name}: the detail view is populated on the hot path"
         );
 
-        let before = AnalysisContext::preparations();
+        let before = service.stats().preparations;
         let warm = service.label(&table, &config).unwrap();
         assert_eq!(
-            AnalysisContext::preparations(),
+            service.stats().preparations,
             before,
             "{name}: a warm hit must perform no context preparation"
         );
@@ -108,10 +106,10 @@ fn warm_hits_and_sweeps_reuse_one_preparation_on_all_scenarios() {
         // hit, with zero preparations.
         let rebuilt_table = Arc::new(Table::clone(&table));
         let rebuilt_config = Arc::new(LabelConfig::clone(&config));
-        let before = AnalysisContext::preparations();
+        let before = service.stats().preparations;
         let rehit = service.label(&rebuilt_table, &rebuilt_config).unwrap();
         assert_eq!(
-            AnalysisContext::preparations(),
+            service.stats().preparations,
             before,
             "{name}: a content-identical request must not prepare"
         );
@@ -138,12 +136,12 @@ fn warm_hits_and_sweeps_reuse_one_preparation_on_all_scenarios() {
             })
             .collect();
 
-        let before = AnalysisContext::preparations();
+        let before = pipeline.preparations();
         let sweep = pipeline
             .generate_sweep(Arc::clone(&table), Arc::clone(&config), &ks)
             .unwrap();
         assert_eq!(
-            AnalysisContext::preparations(),
+            pipeline.preparations(),
             before + 1,
             "{name}: a sweep must compute the ranking exactly once"
         );
@@ -158,17 +156,17 @@ fn warm_hits_and_sweeps_reuse_one_preparation_on_all_scenarios() {
         }
 
         // A cached sweep performs no preparation either.
-        let before = AnalysisContext::preparations();
+        let before = service.stats().preparations;
         let cached_sweep = service.label_sweep(&table, &config, &ks).unwrap();
         assert_eq!(
-            AnalysisContext::preparations(),
+            service.stats().preparations,
             before + 1,
             "{name}: the service sweep prepares once for its cold sizes"
         );
-        let before = AnalysisContext::preparations();
+        let before = service.stats().preparations;
         let warm_sweep = service.label_sweep(&table, &config, &ks).unwrap();
         assert_eq!(
-            AnalysisContext::preparations(),
+            service.stats().preparations,
             before,
             "{name}: a fully warm sweep must not prepare"
         );
