@@ -501,15 +501,18 @@ fn batch_sweep(c: &mut Criterion) {
             BenchmarkId::new(format!("per-trial-workers-{workers}"), 256),
             &(),
             |b, ()| {
+                // Factor = trials: one scheduler task per trial.
                 b.iter(|| {
                     estimator
-                        .evaluate_on(
+                        .evaluate_batched_with(
                             &scheduler,
                             black_box(&table),
                             black_box(&scoring),
                             black_box(&ranking),
+                            None,
+                            256,
                         )
-                        .expect("evaluate_on")
+                        .expect("per-trial schedule")
                 });
             },
         );
@@ -735,8 +738,15 @@ fn emit_report(c: &mut Criterion) {
         let per_trial_ns = median_ns_per_trial(
             || {
                 sweep_estimator
-                    .evaluate_on(&scheduler, &sweep_table, &sweep_scoring, &sweep_ranking)
-                    .expect("evaluate_on");
+                    .evaluate_batched_with(
+                        &scheduler,
+                        &sweep_table,
+                        &sweep_scoring,
+                        &sweep_ranking,
+                        None,
+                        256,
+                    )
+                    .expect("per-trial schedule");
             },
             256,
         );

@@ -30,8 +30,8 @@ use rand::distributions::{Distribution, Exp};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rf_bench::exposition::{
-    check_counters_monotonic, check_slow_debug, parse_metrics, stage_summaries, MetricsSnapshot,
-    StageSummary,
+    check_counters_monotonic, check_slow_debug, delta, parse_metrics, stage_summaries,
+    MetricsSnapshot, StageSummary,
 };
 use rf_server::{DatasetCatalog, Server, ServerConfig};
 use std::io::Write;
@@ -518,7 +518,9 @@ fn run_once(
     let slow_body = scrape_body(addr, "/debug/slow").expect("scrape /debug/slow");
     check_slow_debug(&slow_body).expect("/debug/slow must serve well-formed traces");
 
-    let server_stages = stage_summaries(&metrics_after);
+    // The run's own stage observations: the delta between the two scrapes,
+    // so the warm-up request (and any earlier run) is not counted.
+    let server_stages = stage_summaries(&delta(&metrics_before, &metrics_after));
     let per_shard_requests: Vec<(String, u64)> = server_stages
         .iter()
         .filter(|summary| {

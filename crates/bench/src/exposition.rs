@@ -165,6 +165,25 @@ pub fn check_counters_monotonic(
     Ok(())
 }
 
+/// What the server recorded between two scrapes: every cumulative series as
+/// `after − before`, gauges as their `after` value.  A series absent from
+/// `before` started at zero.
+pub fn delta(before: &MetricsSnapshot, after: &MetricsSnapshot) -> MetricsSnapshot {
+    let samples = after
+        .samples
+        .iter()
+        .map(|(series, &value)| {
+            let earlier = if is_cumulative(series) {
+                before.samples.get(series).copied().unwrap_or(0.0)
+            } else {
+                0.0
+            };
+            (series.clone(), value - earlier)
+        })
+        .collect();
+    MetricsSnapshot { samples }
+}
+
 /// Reconstructs per-`(stage, shard)` latency summaries from the cumulative
 /// `rf_stage_duration_microseconds` histogram in a scrape.
 pub fn stage_summaries(snapshot: &MetricsSnapshot) -> Vec<StageSummary> {
@@ -346,6 +365,35 @@ rf_cache_entries 3
         let shrunk_counter = parse_metrics("rf_x_total 4\nrf_gauge 9\n").expect("after");
         let err = check_counters_monotonic(&before, &shrunk_counter).expect_err("must fail");
         assert!(err.contains("rf_x_total"), "unexpected error: {err}");
+    }
+
+    #[test]
+    fn delta_subtracts_cumulative_series_and_keeps_gauges() {
+        let before = parse_metrics(GOOD).expect("before");
+        let after = parse_metrics(
+            "rf_cache_hits_total 15\n\
+             rf_stage_duration_microseconds_bucket{stage=\"parse\",shard=\"0\",le=\"1\"} 2\n\
+             rf_stage_duration_microseconds_bucket{stage=\"parse\",shard=\"0\",le=\"3\"} 12\n\
+             rf_stage_duration_microseconds_bucket{stage=\"parse\",shard=\"0\",le=\"+Inf\"} 14\n\
+             rf_stage_duration_microseconds_sum{stage=\"parse\",shard=\"0\"} 37\n\
+             rf_stage_duration_microseconds_count{stage=\"parse\",shard=\"0\"} 14\n\
+             rf_cache_entries 2\n\
+             rf_new_total 4\n",
+        )
+        .expect("after");
+        let run = delta(&before, &after);
+        assert_eq!(run.samples["rf_cache_hits_total"], 3.0);
+        assert_eq!(
+            run.samples["rf_cache_entries"], 2.0,
+            "gauges keep their last value"
+        );
+        assert_eq!(run.samples["rf_new_total"], 4.0, "absent before = zero");
+        // The run's own four observations: three at ≤ 3 µs, one above.
+        let summaries = stage_summaries(&run);
+        assert_eq!(summaries.len(), 1);
+        assert_eq!(summaries[0].count, 4);
+        assert_eq!(summaries[0].p50_micros, 3);
+        assert!((summaries[0].mean_micros - 3.0).abs() < 1e-9);
     }
 
     #[test]

@@ -69,8 +69,8 @@ pub use error::{LabelError, LabelResult};
 pub use label::NutritionalLabel;
 pub use mitigation::{MitigationSearch, MitigationSuggestion};
 pub use pipeline::{
-    monte_carlo_runtime_stats, AnalysisContext, AnalysisPipeline, FairnessMeasurePart,
-    MonteCarloRuntimeStats, WidgetBuilder, WidgetOutput,
+    AnalysisContext, AnalysisPipeline, FairnessMeasurePart, MonteCarloRuntimeStats, ServiceMetrics,
+    WidgetBuilder, WidgetOutput,
 };
 pub use render::{render_html, render_json, render_text};
 pub use service::{

@@ -54,15 +54,7 @@ use rf_table::Table;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Process-wide Monte-Carlo observability: estimator runs on the label hot
-/// path, trials actually performed, and runs truncated by their deadline
-/// budget.  Served (with the cache and scheduler counters) by `/stats`.
-static MC_RUNS: AtomicU64 = AtomicU64::new(0);
-static MC_TRIALS_COMPLETED: AtomicU64 = AtomicU64::new(0);
-static MC_TRUNCATED: AtomicU64 = AtomicU64::new(0);
-static MC_RELAXED_RUNS: AtomicU64 = AtomicU64::new(0);
-
-/// A point-in-time snapshot of the process-wide Monte-Carlo stability
+/// A point-in-time snapshot of one label service's Monte-Carlo stability
 /// counters, exposed through `ServiceStats` and the HTTP `/stats` endpoint
 /// so deployments can watch how often the deadline budget bites.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -78,14 +70,58 @@ pub struct MonteCarloRuntimeStats {
     pub relaxed_runs: u64,
 }
 
-/// The process-wide Monte-Carlo counters (any pipeline, any schedule).
-#[must_use]
-pub fn monte_carlo_runtime_stats() -> MonteCarloRuntimeStats {
-    MonteCarloRuntimeStats {
-        runs: MC_RUNS.load(Ordering::Relaxed),
-        trials_completed: MC_TRIALS_COMPLETED.load(Ordering::Relaxed),
-        truncated: MC_TRUNCATED.load(Ordering::Relaxed),
-        relaxed_runs: MC_RELAXED_RUNS.load(Ordering::Relaxed),
+/// Every counter and stage histogram one label service keeps, owned by its
+/// [`AnalysisPipeline`] (and shared by the pipeline's clones).  Two services
+/// in one process never see each other's work.
+#[derive(Debug, Default)]
+pub struct ServiceMetrics {
+    /// The service-side stage histograms (`admission`, `queue_wait`,
+    /// `cache_lookup`, `cache_disk`, `prepare`, `render`, `mc_trials`).
+    /// Network-side stages (`parse`, `write`) are recorded into per-shard
+    /// sets owned by each reactor instead.
+    stages: rf_obs::StageHistograms,
+    /// Contexts prepared.  The label cache's contract is that a warm hit
+    /// performs *no* preparation; this counter is how the tests verify it.
+    preparations: AtomicU64,
+    mc_runs: AtomicU64,
+    mc_trials_completed: AtomicU64,
+    mc_truncated: AtomicU64,
+    mc_relaxed_runs: AtomicU64,
+}
+
+impl ServiceMetrics {
+    /// Records a stage timing into the service's histograms and into the
+    /// current request's span, when one is active on this thread.  The two
+    /// sinks serve different readers: the histograms feed `/metrics`
+    /// aggregates, the span feeds the per-request `/debug/slow` trace.
+    pub(crate) fn record(&self, stage: rf_obs::Stage, elapsed: std::time::Duration) {
+        self.stages.record(stage, elapsed);
+        rf_obs::with_active(|span| span.record(stage, elapsed));
+    }
+
+    /// The service-side stage histograms.
+    #[must_use]
+    pub fn stages(&self) -> &rf_obs::StageHistograms {
+        &self.stages
+    }
+
+    /// Contexts prepared so far (monotonic).
+    #[must_use]
+    pub(crate) fn preparations(&self) -> u64 {
+        self.preparations.load(Ordering::Relaxed)
+    }
+
+    /// The Monte-Carlo counters: estimator runs on the label hot path,
+    /// trials actually performed, and runs truncated by their deadline
+    /// budget.
+    #[must_use]
+    pub(crate) fn monte_carlo(&self) -> MonteCarloRuntimeStats {
+        MonteCarloRuntimeStats {
+            runs: self.mc_runs.load(Ordering::Relaxed),
+            trials_completed: self.mc_trials_completed.load(Ordering::Relaxed),
+            truncated: self.mc_truncated.load(Ordering::Relaxed),
+            relaxed_runs: self.mc_relaxed_runs.load(Ordering::Relaxed),
+        }
     }
 }
 
@@ -373,6 +409,8 @@ struct StabilityBuilder {
     /// Scheduler the Monte-Carlo trial batches fan out on; `None` runs the
     /// sequential reference estimator (the reference schedule).
     scheduler: Option<Arc<rf_runtime::Scheduler>>,
+    /// The pipeline's metrics, which count the estimator runs.
+    metrics: Arc<ServiceMetrics>,
 }
 
 impl WidgetBuilder for StabilityBuilder {
@@ -409,14 +447,17 @@ impl WidgetBuilder for StabilityBuilder {
                 )?,
                 None => estimator.evaluate(&ctx.table, &ctx.config.scoring, &ctx.ranking)?,
             };
-            note_stage(rf_obs::Stage::McTrials, trials_started.elapsed());
-            MC_RUNS.fetch_add(1, Ordering::Relaxed);
-            MC_TRIALS_COMPLETED.fetch_add(summary.trials as u64, Ordering::Relaxed);
+            let metrics = &self.metrics;
+            metrics.record(rf_obs::Stage::McTrials, trials_started.elapsed());
+            metrics.mc_runs.fetch_add(1, Ordering::Relaxed);
+            metrics
+                .mc_trials_completed
+                .fetch_add(summary.trials as u64, Ordering::Relaxed);
             if mc.relaxed_fp {
-                MC_RELAXED_RUNS.fetch_add(1, Ordering::Relaxed);
+                metrics.mc_relaxed_runs.fetch_add(1, Ordering::Relaxed);
             }
             if summary.truncated {
-                MC_TRUNCATED.fetch_add(1, Ordering::Relaxed);
+                metrics.mc_truncated.fetch_add(1, Ordering::Relaxed);
                 rf_obs::with_active(|span| span.set_truncated(true));
             }
             Some(summary)
@@ -531,16 +572,18 @@ impl WidgetBuilder for TopRowsBuilder {
 /// one job per `(protected feature, measure)` pair, feature-major in
 /// configuration order, measures in report order.  `mc_scheduler` is the
 /// scheduler the Stability widget's Monte-Carlo trials nest onto (`None`
-/// runs the sequential reference estimator).
+/// runs the sequential reference estimator); `metrics` counts their runs.
 fn builders(
     ctx: &AnalysisContext,
     mc_scheduler: Option<Arc<rf_runtime::Scheduler>>,
+    metrics: Arc<ServiceMetrics>,
 ) -> Vec<Box<dyn WidgetBuilder>> {
     let mut list: Vec<Box<dyn WidgetBuilder>> = vec![
         Box::new(RecipeBuilder),
         Box::new(IngredientsBuilder),
         Box::new(StabilityBuilder {
             scheduler: mc_scheduler,
+            metrics,
         }),
     ];
     for index in 0..ctx.protected_groups.len() {
@@ -551,15 +594,6 @@ fn builders(
     list.push(Box::new(DiversityBuilder));
     list.push(Box::new(TopRowsBuilder));
     list
-}
-
-/// Records a stage timing into the process-wide service-side histograms and
-/// into the current request's span, when one is active on this thread.  The
-/// two sinks serve different readers: the histograms feed `/metrics`
-/// aggregates, the span feeds the per-request `/debug/slow` trace.
-pub(crate) fn note_stage(stage: rf_obs::Stage, elapsed: std::time::Duration) {
-    rf_obs::service_stages().record(stage, elapsed);
-    rf_obs::with_active(|span| span.record(stage, elapsed));
 }
 
 /// How the pipeline schedules its work.
@@ -578,10 +612,8 @@ enum Schedule {
 pub struct AnalysisPipeline {
     schedule: Schedule,
     pool: Option<Arc<rf_runtime::ThreadPool>>,
-    /// Contexts this pipeline and its clones prepared.  The label cache's
-    /// contract is that a warm hit performs *no* preparation; this counter is
-    /// how the tests verify it.
-    preparations: Arc<AtomicU64>,
+    /// The counters and stage histograms of this pipeline and its clones.
+    metrics: Arc<ServiceMetrics>,
 }
 
 impl Default for AnalysisPipeline {
@@ -597,7 +629,7 @@ impl AnalysisPipeline {
         AnalysisPipeline {
             schedule: Schedule::Parallel,
             pool: None,
-            preparations: Arc::default(),
+            metrics: Arc::default(),
         }
     }
 
@@ -607,7 +639,7 @@ impl AnalysisPipeline {
         AnalysisPipeline {
             schedule: Schedule::Parallel,
             pool: Some(pool),
-            preparations: Arc::default(),
+            metrics: Arc::default(),
         }
     }
 
@@ -619,7 +651,7 @@ impl AnalysisPipeline {
         AnalysisPipeline {
             schedule: Schedule::Sequential,
             pool: None,
-            preparations: Arc::default(),
+            metrics: Arc::default(),
         }
     }
 
@@ -630,11 +662,17 @@ impl AnalysisPipeline {
         }
     }
 
-    /// Contexts this pipeline and its clones prepared so far (monotonic;
-    /// other pipelines in the process do not move it).
+    /// The counters and stage histograms this pipeline and its clones
+    /// record into (other pipelines in the process do not move them).
+    #[must_use]
+    pub fn metrics(&self) -> &Arc<ServiceMetrics> {
+        &self.metrics
+    }
+
+    /// Contexts this pipeline and its clones prepared so far.
     #[must_use]
     pub fn preparations(&self) -> u64 {
-        self.preparations.load(Ordering::Relaxed)
+        self.metrics.preparations()
     }
 
     /// Observability counters of the scheduler this pipeline fans out on
@@ -657,7 +695,7 @@ impl AnalysisPipeline {
         table: Arc<Table>,
         config: Arc<LabelConfig>,
     ) -> LabelResult<Arc<AnalysisContext>> {
-        self.preparations.fetch_add(1, Ordering::Relaxed);
+        self.metrics.preparations.fetch_add(1, Ordering::Relaxed);
         let started = std::time::Instant::now();
         let ctx = match self.schedule {
             Schedule::Sequential => AnalysisContext::prepare(table, config)?,
@@ -665,7 +703,8 @@ impl AnalysisPipeline {
                 AnalysisContext::prepare_with_pool(table, config, self.pool_ref())?
             }
         };
-        note_stage(rf_obs::Stage::Prepare, started.elapsed());
+        self.metrics
+            .record(rf_obs::Stage::Prepare, started.elapsed());
         Ok(Arc::new(ctx))
     }
 
@@ -682,9 +721,11 @@ impl AnalysisPipeline {
             Schedule::Sequential => None,
             Schedule::Parallel => Some(Arc::clone(self.pool_ref().scheduler())),
         };
-        let outputs = self.run_builders(ctx, builders(ctx, mc_scheduler))?;
+        let list = builders(ctx, mc_scheduler, Arc::clone(&self.metrics));
+        let outputs = self.run_builders(ctx, list)?;
         let label = Self::assemble(ctx, outputs);
-        note_stage(rf_obs::Stage::Render, started.elapsed());
+        self.metrics
+            .record(rf_obs::Stage::Render, started.elapsed());
         Ok(label)
     }
 
@@ -958,12 +999,11 @@ mod tests {
         let staged = pipeline.render(&ctx).unwrap();
         let direct = pipeline.generate(table, config).unwrap();
         assert_eq!(staged, direct);
-        // Rendering the same context again changes nothing.  (That render
-        // performs *no* preparation is asserted by the cache-parity
-        // integration test, where the process-wide counter is not shared
-        // with concurrently running sibling tests.)
+        // Rendering the same context again changes nothing and performs no
+        // preparation: one for `prepare`, one for `generate`.
         let again = pipeline.render(&ctx).unwrap();
         assert_eq!(staged, again);
+        assert_eq!(pipeline.preparations(), 2);
     }
 
     #[test]
@@ -982,13 +1022,16 @@ mod tests {
                     .unwrap()
             })
             .collect();
-        // (The "exactly one preparation per sweep" property is asserted by
-        // the cache-parity integration test, where the process-wide counter
-        // is not shared with concurrently running sibling tests.)
+        let before = pipeline.preparations();
         let sweep = pipeline
             .generate_sweep(Arc::clone(&table), Arc::clone(&config), &ks)
             .unwrap();
         assert_eq!(sweep, independent);
+        assert_eq!(
+            pipeline.preparations(),
+            before + 1,
+            "one preparation per sweep"
+        );
         // Empty sweeps do nothing.
         assert!(pipeline
             .generate_sweep(table, config, &[])
@@ -1008,18 +1051,31 @@ mod tests {
                 .with_monte_carlo_trials(256)
                 .with_monte_carlo_deadline_millis(Some(0)),
         );
-        let runtime_before = monte_carlo_runtime_stats();
-        let label = AnalysisPipeline::with_pool(Arc::new(rf_runtime::ThreadPool::new(2)))
-            .generate(Arc::clone(&table), config)
-            .unwrap();
+        let pipeline = AnalysisPipeline::with_pool(Arc::new(rf_runtime::ThreadPool::new(2)));
+        let label = pipeline.generate(Arc::clone(&table), config).unwrap();
         let mc = label.stability.monte_carlo.as_ref().expect("detail on");
         assert!(mc.truncated, "a 0ms budget must truncate 256 trials");
         assert!(mc.trials >= 1 && mc.trials < 256);
         assert_eq!(mc.trials_requested, 256);
-        let runtime = monte_carlo_runtime_stats();
-        assert!(runtime.runs > runtime_before.runs);
-        assert!(runtime.truncated > runtime_before.truncated);
-        assert!(runtime.trials_completed >= runtime_before.trials_completed + mc.trials as u64);
+        // The pipeline's own counters saw exactly this one run.
+        let metrics = pipeline.metrics();
+        assert_eq!(
+            metrics.monte_carlo(),
+            MonteCarloRuntimeStats {
+                runs: 1,
+                trials_completed: mc.trials as u64,
+                truncated: 1,
+                relaxed_runs: 0,
+            }
+        );
+        assert_eq!(
+            metrics
+                .stages()
+                .snapshot()
+                .get(rf_obs::Stage::McTrials)
+                .count(),
+            1
+        );
         // The truncation is visible in every render.
         assert!(label.to_text().contains("truncated by deadline"));
         assert!(label.to_html().contains("Truncated by deadline"));

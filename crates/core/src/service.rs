@@ -29,7 +29,7 @@
 use crate::cache::{CacheKey, CacheStats, CachedLabel, LabelCache};
 use crate::config::LabelConfig;
 use crate::error::{LabelError, LabelResult};
-use crate::pipeline::AnalysisPipeline;
+use crate::pipeline::{AnalysisPipeline, ServiceMetrics};
 use rf_table::Table;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -57,7 +57,7 @@ pub struct ServiceStats {
     /// The work-stealing scheduler this service's pipeline fans out on:
     /// worker count, queue depth, steals, executed and panicked tasks.
     pub scheduler: rf_runtime::SchedulerStats,
-    /// Process-wide Monte-Carlo stability counters: estimator runs, trials
+    /// This service's Monte-Carlo stability counters: estimator runs, trials
     /// completed, and runs truncated by their deadline budget.
     pub monte_carlo: crate::pipeline::MonteCarloRuntimeStats,
     /// The I/O plane's per-reactor counters and their rollup.  `None` when
@@ -336,6 +336,14 @@ impl LabelService {
         self.disk.as_ref()
     }
 
+    /// The counters and stage histograms this service records into — its
+    /// pipeline's, so two services in one process never share series.  The
+    /// server records its admission and queue-wait stages here too.
+    #[must_use]
+    pub fn metrics(&self) -> &Arc<ServiceMetrics> {
+        self.pipeline.metrics()
+    }
+
     /// The table's content fingerprint, memoized by `Arc` identity.
     fn table_fingerprint(&self, table: &Arc<Table>) -> u64 {
         self.fingerprints
@@ -384,7 +392,8 @@ impl LabelService {
                 .expect("label cache lock")
                 .get(&key, table, config)
             {
-                crate::pipeline::note_stage(rf_obs::Stage::CacheLookup, lookup_started.elapsed());
+                self.metrics()
+                    .record(rf_obs::Stage::CacheLookup, lookup_started.elapsed());
                 rf_obs::with_active(|span| span.set_cache(rf_obs::CacheOutcome::Hit));
                 return Ok(hit);
             }
@@ -398,7 +407,8 @@ impl LabelService {
                 ),
             }
         };
-        crate::pipeline::note_stage(rf_obs::Stage::CacheLookup, lookup_started.elapsed());
+        self.metrics()
+            .record(rf_obs::Stage::CacheLookup, lookup_started.elapsed());
         if !leading {
             // Verify the leader is generating *our* inputs before adopting
             // its result (fingerprint collisions degrade to own generation).
@@ -503,7 +513,8 @@ impl LabelService {
         let disk = self.disk.as_ref()?;
         let started = std::time::Instant::now();
         let result = self.disk_lookup_inner(disk, key, table, config);
-        crate::pipeline::note_stage(rf_obs::Stage::CacheDisk, started.elapsed());
+        self.metrics()
+            .record(rf_obs::Stage::CacheDisk, started.elapsed());
         result
     }
 
@@ -648,7 +659,7 @@ impl LabelService {
             preparations: self.pipeline.preparations(),
             coalesced: self.coalesced.load(Ordering::Relaxed),
             scheduler: self.pipeline.scheduler_stats(),
-            monte_carlo: crate::pipeline::monte_carlo_runtime_stats(),
+            monte_carlo: self.metrics().monte_carlo(),
             network: None,
             admission: None,
             datasets: None,
@@ -711,11 +722,6 @@ mod tests {
         (Arc::new(table), Arc::new(config))
     }
 
-    // Counter-based "no preparation on a warm hit" assertions live in the
-    // cache-parity integration test, where the process-wide counter is not
-    // shared with concurrently running sibling tests; here the per-service
-    // hit/miss counters make the same point race-free.
-
     #[test]
     fn warm_hits_skip_preparation_and_match_cold_generation() {
         let (table, config) = scenario();
@@ -727,6 +733,7 @@ mod tests {
         let stats = service.stats();
         assert_eq!(stats.cache.hits, 1);
         assert_eq!(stats.cache.misses, 1);
+        assert_eq!(stats.preparations, 1, "the warm hit prepared nothing");
     }
 
     #[test]
@@ -1022,6 +1029,29 @@ mod tests {
             "generation ran tasks on the dedicated scheduler"
         );
         assert_eq!(stats.scheduler.panicked_jobs, 0);
+    }
+
+    #[test]
+    fn two_services_in_one_process_keep_separate_metrics() {
+        let (table, config) = scenario();
+        let config = Arc::new(LabelConfig::clone(&config).with_monte_carlo_trials(16));
+        let a = LabelService::new();
+        let b = LabelService::new();
+        a.label(&table, &config).unwrap();
+        let prepare_count = |service: &LabelService| {
+            let stages = service.metrics().stages().snapshot();
+            stages.get(rf_obs::Stage::Prepare).count()
+        };
+        let a_stats = a.stats();
+        assert_eq!(a_stats.preparations, 1);
+        assert_eq!(prepare_count(&a), 1);
+        assert_eq!(a_stats.monte_carlo.runs, 1);
+        assert_eq!(a_stats.monte_carlo.trials_completed, 16);
+        let b_stats = b.stats();
+        assert_eq!(b_stats.preparations, 0);
+        assert_eq!(prepare_count(&b), 0, "B never saw A's preparation");
+        assert_eq!(b_stats.monte_carlo.runs, 0, "B never saw A's trials");
+        assert_eq!(b_stats.monte_carlo.trials_completed, 0);
     }
 
     #[test]

@@ -211,7 +211,7 @@ pub struct ReactorObservability {
     /// `shard` label in `/metrics`.
     pub shard: u32,
     /// This shard's stage histograms (`parse` and `write` recorded here;
-    /// worker-side stages go to `rf_obs::service_stages()`).
+    /// worker-side stages go to the label service's own metrics).
     pub stages: Arc<StageHistograms>,
     /// Ring receiving completed traces that exceed `slow_threshold` —
     /// typically shared by every shard and served at `/debug/slow`.

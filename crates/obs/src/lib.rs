@@ -121,7 +121,7 @@ impl Default for StageHistograms {
 }
 
 impl StageHistograms {
-    /// Creates an empty histogram set (`const`, so it can back a `static`).
+    /// Creates an empty histogram set.
     #[must_use]
     pub const fn new() -> Self {
         #[allow(clippy::declare_interior_mutable_const)]
@@ -196,18 +196,6 @@ impl StageSnapshot {
     }
 }
 
-static SERVICE_STAGES: StageHistograms = StageHistograms::new();
-
-/// The process-wide histogram set for the *service-side* stages (`admission`,
-/// `queue_wait`, `cache_lookup`, `prepare`, `render`, `mc_trials`), shared by
-/// every reactor shard because the worker pool is shared.  Network-side
-/// stages (`parse`, `write`) are recorded into per-shard sets owned by each
-/// reactor instead.
-#[must_use]
-pub fn service_stages() -> &'static StageHistograms {
-    &SERVICE_STAGES
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,13 +237,5 @@ mod tests {
         let merged = a.snapshot().merge(&b.snapshot());
         assert_eq!(merged.get(Stage::Render).count(), 2);
         assert_eq!(merged.get(Stage::Parse).count(), 1);
-    }
-
-    #[test]
-    fn service_stages_is_shared() {
-        let before = service_stages().snapshot().get(Stage::Admission).count();
-        service_stages().record(Stage::Admission, Duration::from_micros(1));
-        let after = service_stages().snapshot().get(Stage::Admission).count();
-        assert!(after > before);
     }
 }

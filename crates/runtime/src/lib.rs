@@ -18,12 +18,9 @@
 //! * `rf-stability` runs one task per Monte-Carlo trial inside a widget job;
 //! * `rf-server` dispatches parsed requests via [`ThreadPool::execute_notify`].
 //!
-//! [`ThreadPool`] survives as a thin compatibility shim over an owned
-//! scheduler: `execute` / `execute_notify` / `run_all` / `map_shards` keep
-//! their exact signatures (rf-net's completion hook depends on
-//! `execute_notify`'s notify-even-on-panic guarantee), but all of them now
-//! route through scopes, so the old "nested calls fall back to inline
-//! execution" special case is gone — nested calls just parallelize.
+//! [`ThreadPool`] is a thin owner of a scheduler: it exposes the scheduler
+//! and adds `execute_notify`, whose notify-even-on-panic guarantee rf-net's
+//! completion hook depends on.
 //!
 //! A process-wide pool is available through [`global`]; independent pools can
 //! be created for tests or dedicated subsystems.  Jobs are `'static` — shared
@@ -505,11 +502,11 @@ impl Drop for Scheduler {
 
 /// A fixed-size pool of worker threads executing queued jobs.
 ///
-/// Compatibility shim over an owned [`Scheduler`]: the historical
-/// `execute` / `execute_notify` / `run_all` / `map_shards` surface keeps its
-/// exact semantics (rf-net's reactor depends on `execute_notify`'s
-/// notify-even-on-panic guarantee), while new code reaches the scheduler —
-/// and its `scope` API — through [`ThreadPool::scheduler`].
+/// A thin owner of a [`Scheduler`]: callers reach the scheduler — and its
+/// `scope` / `run_all` / `map_shards` API — through
+/// [`ThreadPool::scheduler`].  The pool itself adds only
+/// [`execute_notify`](ThreadPool::execute_notify), the completion hook the
+/// server's reactor depends on.
 #[derive(Debug)]
 pub struct ThreadPool {
     scheduler: Arc<Scheduler>,
@@ -536,32 +533,6 @@ impl ThreadPool {
         self.scheduler.size()
     }
 
-    /// Number of jobs that panicked since the pool was created.
-    #[must_use]
-    pub fn panicked_jobs(&self) -> usize {
-        self.scheduler.panicked_jobs()
-    }
-
-    /// Number of jobs currently queued — see [`Scheduler::queued`].
-    #[must_use]
-    pub fn queued(&self) -> usize {
-        self.scheduler.queued()
-    }
-
-    /// Installs a queue-wait observer on the underlying scheduler — see
-    /// [`Scheduler::set_queue_wait_observer`].
-    pub fn set_queue_wait_observer(&self, observer: QueueWaitObserver) -> bool {
-        self.scheduler.set_queue_wait_observer(observer)
-    }
-
-    /// Queues a job for execution on the pool.
-    pub fn execute<F>(&self, job: F)
-    where
-        F: FnOnce() + Send + 'static,
-    {
-        self.scheduler.spawn_detached(job);
-    }
-
     /// Queues a job and guarantees `notify` runs after it finishes — even
     /// when the job panics.
     ///
@@ -585,31 +556,11 @@ impl ThreadPool {
             }
         }
         let guard = NotifyOnDrop(Some(notify));
-        self.execute(move || {
+        self.scheduler.spawn_detached(move || {
             // Dropped when the closure ends — normally or by unwinding.
             let _guard = guard;
             job();
         });
-    }
-
-    /// Runs every job on the pool and blocks until all of them finish,
-    /// returning the outputs in job order.  See [`Scheduler::run_all`].
-    pub fn run_all<T, F>(&self, jobs: Vec<F>) -> Vec<Option<T>>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        self.scheduler.run_all(jobs)
-    }
-
-    /// Runs `f` over contiguous shards of `0..len` on the pool and returns
-    /// the shard outputs in shard order.  See [`Scheduler::map_shards`].
-    pub fn map_shards<R, F>(&self, len: usize, max_shards: usize, f: F) -> Vec<Option<R>>
-    where
-        R: Send + 'static,
-        F: Fn(std::ops::Range<usize>) -> R + Send + Sync + 'static,
-    {
-        self.scheduler.map_shards(len, max_shards, f)
     }
 }
 
@@ -713,13 +664,13 @@ mod tests {
 
     #[test]
     fn executes_queued_jobs() {
-        let pool = ThreadPool::new(4);
+        let scheduler = Scheduler::new(4);
         let counter = Arc::new(AtomicU64::new(0));
         let (sender, receiver) = channel();
         for _ in 0..100 {
             let counter = Arc::clone(&counter);
             let sender = sender.clone();
-            pool.execute(move || {
+            scheduler.spawn_detached(move || {
                 counter.fetch_add(1, Ordering::Relaxed);
                 sender.send(()).unwrap();
             });
@@ -731,14 +682,14 @@ mod tests {
 
     #[test]
     fn queued_tracks_backlog_and_drains_to_zero() {
-        let pool = ThreadPool::new(2);
+        let scheduler = Scheduler::new(2);
         // Block both workers, then pile up a backlog behind them.
         let gate = Arc::new(std::sync::Barrier::new(3));
         let parked = Arc::new(AtomicU64::new(0));
         for _ in 0..2 {
             let gate = Arc::clone(&gate);
             let parked = Arc::clone(&parked);
-            pool.execute(move || {
+            scheduler.spawn_detached(move || {
                 parked.fetch_add(1, Ordering::SeqCst);
                 gate.wait();
             });
@@ -749,19 +700,19 @@ mod tests {
         let (sender, receiver) = channel();
         for _ in 0..8 {
             let sender = sender.clone();
-            pool.execute(move || sender.send(()).unwrap());
+            scheduler.spawn_detached(move || sender.send(()).unwrap());
         }
         drop(sender);
         // Both workers are parked at the gate, so nothing can drain the
         // backlog yet: all 8 jobs are visibly queued.
-        assert_eq!(pool.queued(), 8, "backlog visible");
+        assert_eq!(scheduler.queued(), 8, "backlog visible");
         gate.wait();
         assert_eq!(receiver.iter().count(), 8);
         // Every queued job was taken; the gauge returns to zero.
-        while pool.queued() > 0 {
+        while scheduler.queued() > 0 {
             std::thread::yield_now();
         }
-        assert_eq!(pool.scheduler().stats().queue_depth, 0);
+        assert_eq!(scheduler.stats().queue_depth, 0);
     }
 
     #[test]
@@ -797,15 +748,15 @@ mod tests {
         assert_eq!(receiver.recv().unwrap(), 42, "notify survives a panic");
         drop(sender);
         // The pool is still healthy afterwards.
-        let outputs = pool.run_all(vec![|| 7usize]);
+        let outputs = pool.scheduler().run_all(vec![|| 7usize]);
         assert_eq!(outputs[0], Some(7));
     }
 
     #[test]
     fn run_all_preserves_job_order() {
-        let pool = ThreadPool::new(3);
+        let scheduler = Scheduler::new(3);
         let jobs: Vec<_> = (0..20).map(|i| move || i * 10).collect();
-        let outputs = pool.run_all(jobs);
+        let outputs = scheduler.run_all(jobs);
         for (i, output) in outputs.iter().enumerate() {
             assert_eq!(*output, Some(i * 10));
         }
@@ -813,8 +764,8 @@ mod tests {
 
     #[test]
     fn panicking_job_does_not_kill_the_pool() {
-        let pool = ThreadPool::new(2);
-        let outputs = pool.run_all(vec![
+        let scheduler = Scheduler::new(2);
+        let outputs = scheduler.run_all(vec![
             Box::new(|| 1usize) as Box<dyn FnOnce() -> usize + Send>,
             Box::new(|| panic!("boom")),
             Box::new(|| 3usize),
@@ -822,17 +773,17 @@ mod tests {
         assert_eq!(outputs[0], Some(1));
         assert_eq!(outputs[1], None);
         assert_eq!(outputs[2], Some(3));
-        assert_eq!(pool.panicked_jobs(), 1);
+        assert_eq!(scheduler.panicked_jobs(), 1);
     }
 
     #[test]
     fn drop_joins_workers_after_draining() {
         let counter = Arc::new(AtomicU64::new(0));
         {
-            let pool = ThreadPool::new(2);
+            let scheduler = Scheduler::new(2);
             for _ in 0..50 {
                 let counter = Arc::clone(&counter);
-                pool.execute(move || {
+                scheduler.spawn_detached(move || {
                     counter.fetch_add(1, Ordering::Relaxed);
                 });
             }
@@ -842,19 +793,19 @@ mod tests {
 
     #[test]
     fn nested_run_all_on_the_same_pool_does_not_deadlock() {
-        let pool = Arc::new(ThreadPool::new(2));
+        let scheduler = Arc::new(Scheduler::new(2));
         // Saturate the pool with jobs that each fan out again on the same
         // pool; helping waiters keep everything moving.
         let jobs: Vec<_> = (0..4)
             .map(|outer| {
-                let pool = Arc::clone(&pool);
+                let scheduler = Arc::clone(&scheduler);
                 move || {
                     let inner: Vec<_> = (0..3usize).map(|i| move || outer * 10 + i).collect();
-                    pool.run_all(inner)
+                    scheduler.run_all(inner)
                 }
             })
             .collect();
-        let outputs = pool.run_all(jobs);
+        let outputs = scheduler.run_all(jobs);
         for (outer, slot) in outputs.into_iter().enumerate() {
             let inner = slot.expect("outer job completed");
             let values: Vec<_> = inner.into_iter().map(Option::unwrap).collect();
@@ -979,12 +930,12 @@ mod tests {
 
     #[test]
     fn map_shards_merges_in_shard_order() {
-        let pool = ThreadPool::new(3);
+        let scheduler = Scheduler::new(3);
         let input: Vec<u64> = (0..103).map(|i| i * 3 + 1).collect();
         let expected: Vec<u64> = input.iter().map(|v| v * v).collect();
         let shared = Arc::new(input);
         let data = Arc::clone(&shared);
-        let outputs = pool.map_shards(shared.len(), 0, move |range| {
+        let outputs = scheduler.map_shards(shared.len(), 0, move |range| {
             data[range].iter().map(|v| v * v).collect::<Vec<u64>>()
         });
         let merged: Vec<u64> = outputs
@@ -996,8 +947,8 @@ mod tests {
 
     #[test]
     fn map_shards_reports_panicked_shards_by_position() {
-        let pool = ThreadPool::new(2);
-        let outputs = pool.map_shards(4, 4, |range| {
+        let scheduler = Scheduler::new(2);
+        let outputs = scheduler.map_shards(4, 4, |range| {
             assert!(range.start != 2, "boom");
             range.start
         });
@@ -1010,8 +961,8 @@ mod tests {
 
     #[test]
     fn map_shards_on_empty_domain_is_empty() {
-        let pool = ThreadPool::new(2);
-        let outputs = pool.map_shards(0, 0, |range| range.len());
+        let scheduler = Scheduler::new(2);
+        let outputs = scheduler.map_shards(0, 0, |range| range.len());
         assert!(outputs.is_empty());
     }
 
@@ -1094,21 +1045,21 @@ mod tests {
 
     #[test]
     fn queue_wait_observer_sees_every_task() {
-        let pool = ThreadPool::new(2);
+        let scheduler = Scheduler::new(2);
         let observed = Arc::new(AtomicUsize::new(0));
         let sink = Arc::clone(&observed);
-        assert!(pool.set_queue_wait_observer(Arc::new(move |_wait| {
+        assert!(scheduler.set_queue_wait_observer(Arc::new(move |_wait| {
             sink.fetch_add(1, Ordering::SeqCst);
         })));
         // Install-once: a second observer is rejected.
-        assert!(!pool.set_queue_wait_observer(Arc::new(|_| {})));
+        assert!(!scheduler.set_queue_wait_observer(Arc::new(|_| {})));
         let jobs: Vec<_> = (0..16).map(|i| move || i * 2).collect();
-        let outputs = pool.run_all(jobs);
+        let outputs = scheduler.run_all(jobs);
         assert_eq!(outputs.len(), 16);
         // run_all blocks until every task finished, and the observer fires
         // before the task body runs.
         assert_eq!(observed.load(Ordering::SeqCst), 16);
-        pool.execute(|| {});
+        scheduler.spawn_detached(|| {});
         let deadline = Instant::now() + Duration::from_secs(5);
         while observed.load(Ordering::SeqCst) < 17 {
             assert!(Instant::now() < deadline, "detached task never observed");

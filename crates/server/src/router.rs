@@ -55,7 +55,7 @@ pub struct AppState {
     network: std::sync::Mutex<Vec<Arc<rf_net::ReactorMetrics>>>,
     /// The running server's observability surfaces, installed alongside the
     /// reactor metrics.  `None` for library users and router unit tests —
-    /// `/metrics` then serves the process-wide service-side histograms and
+    /// `/metrics` then serves the label service's own histograms and
     /// counters only, and `/debug/slow` an empty ring.
     observability: std::sync::Mutex<Option<Observability>>,
 }
@@ -262,8 +262,9 @@ fn prom_histogram(out: &mut String, name: &str, labels: &str, snap: &rf_obs::His
     prom_sample(out, &format!("{name}_count"), labels, snap.count());
 }
 
-/// The service-side stages recorded into the process-wide histograms (the
-/// worker pool is shared across shards); `parse` and `write` are per-shard.
+/// The service-side stages recorded into the label service's histograms
+/// (the worker pool is shared across shards); `parse` and `write` are
+/// per-shard.
 const SERVICE_SIDE_STAGES: [rf_obs::Stage; 7] = [
     rf_obs::Stage::Admission,
     rf_obs::Stage::QueueWait,
@@ -278,16 +279,17 @@ const SERVICE_SIDE_STAGES: [rf_obs::Stage; 7] = [
 /// latency histograms plus every counter family the stack already keeps:
 /// cache, scheduler, Monte-Carlo, per-reactor I/O, and admission control.
 /// Stage histograms carry a `shard` label: `"0".."N-1"` for each reactor's
-/// network-side stages, `"service"` for the shared worker-pool stages, and
-/// `"all"` for the merge.  Counters only ever grow between scrapes; gauges
-/// (`rf_*_pending`, `rf_reactor_active`, queue depth, occupancy) move both
-/// ways.
+/// network-side stages, `"service"` for the worker-pool stages this
+/// server's label service recorded (never another server's in the same
+/// process), and `"all"` for the merge.  Counters only ever grow between
+/// scrapes; gauges (`rf_*_pending`, `rf_reactor_active`, queue depth,
+/// occupancy) move both ways.
 fn metrics_exposition(state: &AppState) -> Response {
     let stats = state.labels.stats();
     let mut out = String::new();
 
     prom_type(&mut out, "rf_stage_duration_microseconds", "histogram");
-    let service = rf_obs::service_stages().snapshot();
+    let service = state.labels.metrics().stages().snapshot();
     let shard_snapshots: Vec<rf_obs::StageSnapshot> = state
         .with_observability(|obs| obs.shard_stages.iter().map(|s| s.snapshot()).collect())
         .unwrap_or_default();

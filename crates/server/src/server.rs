@@ -16,6 +16,7 @@
 use crate::catalog::DatasetCatalog;
 use crate::http::{Request, Response, StatusCode};
 use crate::router::{route, AppState};
+use rf_core::ServiceMetrics;
 use rf_net::{Dispatch, ParsedRequest, Reactor, ReactorConfig, Responder};
 use rf_runtime::ThreadPool;
 use std::net::{TcpListener, ToSocketAddrs};
@@ -340,19 +341,16 @@ struct Admission {
     /// Exponentially weighted moving average of request service time, in
     /// microseconds (α = 1/8).  Zero until the first request completes.
     avg_service_micros: AtomicU64,
-    /// The measured stage histograms the controller prefers over its own
-    /// EWMA once they have observations: the prepare+render mean is an
-    /// actual per-request CPU cost, where the EWMA also smears cache hits
-    /// and non-label routes into the estimate.  `None` keeps the controller
-    /// on pure EWMA (unit tests pin its arithmetic deterministically).
-    measured: Option<&'static rf_obs::StageHistograms>,
+    /// The label service's metrics, whose prepare+render stage histograms
+    /// the controller prefers over its own EWMA once they have
+    /// observations: their mean is an actual per-request CPU cost, where
+    /// the EWMA also smears cache hits and non-label routes into the
+    /// estimate.
+    measured: Arc<ServiceMetrics>,
 }
 
 impl Admission {
-    fn with_measured_source(
-        max_pending: usize,
-        measured: Option<&'static rf_obs::StageHistograms>,
-    ) -> Self {
+    fn new(max_pending: usize, measured: Arc<ServiceMetrics>) -> Self {
         Admission {
             max_pending: max_pending.max(1),
             pending: AtomicUsize::new(0),
@@ -362,12 +360,9 @@ impl Admission {
     }
 
     /// Mean prepare+render time from the measured histograms, in
-    /// microseconds — `0` until both stages have observations (or when no
-    /// measured source is installed).
+    /// microseconds — `0` until both stages have observations.
     fn measured_service_micros(&self) -> u64 {
-        let Some(stages) = self.measured else {
-            return 0;
-        };
+        let stages = self.measured.stages();
         let prepare = stages.histogram(rf_obs::Stage::Prepare).snapshot();
         let render = stages.histogram(rf_obs::Stage::Render).snapshot();
         if prepare.count() == 0 || render.count() == 0 {
@@ -470,18 +465,19 @@ struct LabelDispatch {
 impl LabelDispatch {
     fn new(state: Arc<AppState>, workers: usize, max_pending: usize) -> Self {
         let pool = ThreadPool::new(workers);
+        let metrics = Arc::clone(state.labels.metrics());
         // Enqueue→first-poll of every dispatched job, measured inside the
         // runtime — the *true* queue wait the admission EWMA predicts.
-        let _ = pool.set_queue_wait_observer(Arc::new(|waited| {
-            rf_obs::service_stages().record(rf_obs::Stage::QueueWait, waited);
-        }));
+        let observed = Arc::clone(&metrics);
+        let _ = pool
+            .scheduler()
+            .set_queue_wait_observer(Arc::new(move |waited| {
+                observed.stages().record(rf_obs::Stage::QueueWait, waited);
+            }));
         LabelDispatch {
             state,
             pool,
-            admission: Arc::new(Admission::with_measured_source(
-                max_pending,
-                Some(rf_obs::service_stages()),
-            )),
+            admission: Arc::new(Admission::new(max_pending, metrics)),
         }
     }
 
@@ -491,7 +487,7 @@ impl LabelDispatch {
     /// wait has already spent.
     fn admit(&self, target: &str) -> Result<PendingGuard, (rf_obs::ShedReason, u64)> {
         let pending = self.admission.pending.load(Ordering::Acquire);
-        let queued = self.pool.queued();
+        let queued = self.pool.scheduler().queued();
         let workers = self.pool.size();
         if pending >= self.admission.max_pending {
             return Err((
@@ -521,7 +517,11 @@ impl Dispatch for LabelDispatch {
         let admission_started = Instant::now();
         let decision = self.admit(&parsed.target);
         let admission_elapsed = admission_started.elapsed();
-        rf_obs::service_stages().record(rf_obs::Stage::Admission, admission_elapsed);
+        self.state
+            .labels
+            .metrics()
+            .stages()
+            .record(rf_obs::Stage::Admission, admission_elapsed);
         span.record(rf_obs::Stage::Admission, admission_elapsed);
         let guard = match decision {
             Ok(guard) => guard,
@@ -1081,10 +1081,9 @@ mod tests {
 
     #[test]
     fn admission_predicates() {
-        // No measured source: the EWMA arithmetic is pinned deterministically
-        // (the process-global stage histograms would leak other tests' label
-        // work into these assertions).
-        let admission = Admission::with_measured_source(4, None);
+        // Fresh metrics have empty histograms, so the EWMA steers and its
+        // arithmetic is pinned deterministically.
+        let admission = Admission::new(4, Arc::default());
         // Cold start: no service-time estimate, nothing sheds on deadline.
         assert!(!admission.deadline_already_spent(0, 100, 2));
         assert_eq!(admission.retry_after_secs(100, 2), 1, "hint floor is 1s");
@@ -1121,11 +1120,9 @@ mod tests {
 
     #[test]
     fn admission_prefers_measured_service_time_once_it_exists() {
-        // A private histogram set, not the process-global one — sibling
-        // tests generate labels concurrently and would pollute the means.
-        let stages: &'static rf_obs::StageHistograms =
-            Box::leak(Box::new(rf_obs::StageHistograms::new()));
-        let admission = Admission::with_measured_source(4, Some(stages));
+        let metrics = Arc::new(ServiceMetrics::default());
+        let stages = metrics.stages();
+        let admission = Admission::new(4, Arc::clone(&metrics));
         // Nothing measured yet: the EWMA steers.
         admission.record_service(Duration::from_millis(10));
         assert_eq!(admission.service_estimate_micros(), 10_000);

@@ -22,9 +22,10 @@
 //!   the data": repeated re-ranking under data noise and weight jitter,
 //!   summarized by the expected Kendall tau and expected top-k overlap.
 //!   Each trial draws from its own derived ChaCha stream (`seed ⊕ trial`),
-//!   so the per-trial parallel schedule
-//!   ([`MonteCarloStability::evaluate_on`], one `rf-runtime` scheduler task
-//!   per trial) is byte-identical to the sequential reference.
+//!   so the batched parallel schedule
+//!   ([`MonteCarloStability::evaluate_batched`], any number of trials per
+//!   `rf-runtime` scheduler task) is byte-identical to the sequential
+//!   reference.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -14,9 +14,8 @@
 //! expanded through SplitMix64 by `seed_from_u64`, which decorrelates
 //! adjacent seeds).  Trials therefore commute — the estimate is a pure
 //! function of `(inputs, seed, trials)`, independent of execution order — so
-//! any parallel schedule (one task per trial in
-//! [`MonteCarloStability::evaluate_on`], or `ceil(trials / (workers × f))`
-//! trials per task in [`MonteCarloStability::evaluate_batched`]) is
+//! any parallel schedule (`ceil(trials / (workers × f))` trials per task in
+//! [`MonteCarloStability::evaluate_batched`], down to one task per trial) is
 //! **byte-identical** to the sequential reference
 //! [`MonteCarloStability::evaluate`] at any worker count and batch size.
 //!
@@ -278,57 +277,6 @@ impl MonteCarloStability {
         let mut outcomes = Vec::with_capacity(self.trials);
         for trial in 0..self.trials {
             outcomes.push(plan.run_trial(trial)?);
-        }
-        Ok(self.summarize(&outcomes))
-    }
-
-    /// Runs the estimator with **one scheduler task per trial**, merging the
-    /// per-trial outcomes in trial order.
-    ///
-    /// Because each trial owns its derived stream, the summary is
-    /// byte-identical to [`evaluate`](Self::evaluate) at any worker count —
-    /// asserted by `tests/integration_stability_mc.rs` across the three demo
-    /// scenarios and by proptest over random seeds, trial counts, and worker
-    /// counts.  Safe to call from inside a task already running on
-    /// `scheduler`: the blocking wait *helps* run the trial tasks instead of
-    /// parking.
-    ///
-    /// One task per trial is the finest-grained schedule; the label hot path
-    /// uses [`evaluate_batched`](Self::evaluate_batched), which amortizes the
-    /// per-task overhead over a batch of trials.
-    ///
-    /// # Errors
-    /// The first failing trial's error in trial order, or
-    /// [`StabilityError::TrialPanic`] naming the first panicked trial.
-    pub fn evaluate_on(
-        &self,
-        scheduler: &Scheduler,
-        table: &Arc<Table>,
-        scoring: &ScoringFunction,
-        ranking: &Ranking,
-    ) -> StabilityResult<MonteCarloSummary> {
-        let plan = Arc::new(self.plan(table, scoring, ranking)?);
-        let scratches: Arc<ScratchPool<TrialScratch>> = Arc::new(ScratchPool::new());
-        let jobs: Vec<_> = (0..self.trials)
-            .map(|trial| {
-                let plan = Arc::clone(&plan);
-                let scratches = Arc::clone(&scratches);
-                move || {
-                    let mut scratch = scratches.take_or_else(|| plan.kernel.scratch());
-                    let outcome = plan.run_trial(trial, &mut scratch);
-                    scratches.put(scratch);
-                    outcome
-                }
-            })
-            .collect();
-        let slots = scheduler.run_all(jobs);
-        let mut outcomes = Vec::with_capacity(self.trials);
-        for (trial, slot) in slots.into_iter().enumerate() {
-            match slot {
-                Some(Ok(outcome)) => outcomes.push(outcome),
-                Some(Err(err)) => return Err(err),
-                None => return Err(StabilityError::TrialPanic { trial }),
-            }
         }
         Ok(self.summarize(&outcomes))
     }
@@ -838,8 +786,9 @@ mod tests {
         let sequential = estimator.evaluate(&t, &scoring, &ranking).unwrap();
         for workers in [1usize, 2, 5] {
             let scheduler = Scheduler::new(workers);
+            // Factor = trials: one scheduler task per trial.
             let parallel = estimator
-                .evaluate_on(&scheduler, &t, &scoring, &ranking)
+                .evaluate_batched_with(&scheduler, &t, &scoring, &ranking, None, 17)
                 .unwrap();
             assert_eq!(sequential, parallel, "{workers} workers");
         }
@@ -947,7 +896,7 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_on_runs_exactly_one_task_per_trial() {
+    fn per_trial_factor_runs_exactly_one_task_per_trial() {
         let t = Arc::new(spread_table(20));
         let scoring = ScoringFunction::from_pairs([("x", 1.0)]).unwrap();
         let ranking = scoring.rank_table(&t).unwrap();
@@ -956,7 +905,7 @@ mod tests {
         MonteCarloStability::new()
             .with_trials(13)
             .unwrap()
-            .evaluate_on(&scheduler, &t, &scoring, &ranking)
+            .evaluate_batched_with(&scheduler, &t, &scoring, &ranking, None, 13)
             .unwrap();
         assert_eq!(scheduler.executed_jobs() - before, 13);
     }

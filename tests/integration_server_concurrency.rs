@@ -10,28 +10,16 @@
 //!
 //! The second half drives the `LabelService` single-flight path end to end:
 //! a concurrent burst of identical cold requests must perform exactly one
-//! context preparation (counter-verified over `GET /stats`).
-//!
-//! NOTE: the preparation counter is process-wide, so every scenario that
-//! generates labels lives in the one `#[test]` below, sequenced around the
-//! counter reads; the error-isolation test only touches non-generating
-//! endpoints.
+//! context preparation (counter-verified over `GET /stats`).  Every test
+//! starts its own server, and each server counts only its own work, so the
+//! tests run in parallel without sharing a counter.
 
 use rf_server::{DatasetCatalog, Server, ServerConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier, Mutex, MutexGuard};
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
-
-/// Serializes every label-*generating* test in this file: the preparation
-/// counter is process-wide, so a test that asserts an exact counter delta
-/// must not overlap another test's generations.
-fn generation_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// Starts a demo server with a deliberately small label pool.
 fn start_server(workers: usize) -> (SocketAddr, Arc<AtomicBool>, std::thread::JoinHandle<()>) {
@@ -99,7 +87,6 @@ const LABEL_PATH: &str = "/datasets/cs-departments/label.json?k=5";
 
 #[test]
 fn sixty_four_keep_alive_connections_on_a_two_worker_pool() {
-    let _generations = generation_lock();
     let (addr, shutdown, handle) = start_server(2);
 
     // Cold single-connection reference generation.
@@ -220,8 +207,6 @@ fn sixty_four_keep_alive_connections_on_a_two_worker_pool() {
 
 #[test]
 fn two_reactor_shards_serve_byte_identical_labels() {
-    let _generations = generation_lock();
-
     // Reference bytes from today's single-reactor topology.
     let (addr, shutdown, handle) = start_server(2);
     let (head, reference) = fetch(addr, LABEL_PATH);
@@ -281,8 +266,6 @@ fn two_reactor_shards_serve_byte_identical_labels() {
 
 #[test]
 fn saturated_dispatch_queue_sheds_with_503_and_retry_after() {
-    let _generations = generation_lock();
-
     // One worker, and admission allows exactly one unanswered request.
     let (addr, shutdown, handle) = start_server_with(ServerConfig {
         bind_address: "127.0.0.1:0".to_string(),
@@ -351,8 +334,6 @@ fn saturated_dispatch_queue_sheds_with_503_and_retry_after() {
 
 #[test]
 fn connection_errors_are_isolated_to_their_connection() {
-    // Only non-generating endpoints here: the test above sequences the
-    // process-wide preparation counter and runs in parallel with this one.
     let (addr, shutdown, handle) = start_server(2);
 
     // A long-lived healthy connection, opened before any of the failures.

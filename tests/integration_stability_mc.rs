@@ -65,12 +65,13 @@ fn per_trial_parallel_is_byte_identical_on_all_demo_scenarios() {
         let sequential_json = serde_json::to_string(&sequential).unwrap();
 
         for workers in [1usize, 2, 4] {
-            // A dedicated scheduler so the task counter is exact: the
-            // estimator must schedule one task per trial, no more, no less.
+            // A dedicated scheduler so the task counter is exact: with
+            // factor = trials the estimator must schedule one task per
+            // trial, no more, no less.
             let scheduler = Scheduler::new(workers);
             let before = scheduler.executed_jobs();
             let parallel = estimator
-                .evaluate_on(&scheduler, &table, &scoring, &ranking)
+                .evaluate_batched_with(&scheduler, &table, &scoring, &ranking, None, 24)
                 .unwrap();
             assert_eq!(
                 scheduler.executed_jobs() - before,
@@ -167,7 +168,7 @@ proptest! {
         let sequential = estimator.evaluate(&table, &scoring, &ranking).unwrap();
         let scheduler = Scheduler::new(workers);
         let parallel = estimator
-            .evaluate_on(&scheduler, &table, &scoring, &ranking)
+            .evaluate_batched_with(&scheduler, &table, &scoring, &ranking, None, trials)
             .unwrap();
         prop_assert_eq!(&sequential, &parallel);
         prop_assert_eq!(
