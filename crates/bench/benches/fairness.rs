@@ -61,7 +61,7 @@ fn proportion_scaling(c: &mut Criterion) {
 
 fn discounted_measures_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("fairness/discounted_rnd_rkl_rrd");
-    for &n in &[1_000usize, 10_000] {
+    for &n in &[1_000usize, 10_000, 100_000, 1_000_000] {
         let (pg, ranking) = group_and_ranking(n);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| black_box(DiscountedMeasures::evaluate(&pg, &ranking).unwrap()));

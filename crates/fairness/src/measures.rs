@@ -186,19 +186,27 @@ fn normalized_measure(
         return Ok(0.0);
     }
 
-    let raw = discounted_sum(members, cutoffs, protected_total, term);
+    // The ranking's own prefix counts: one running count across the
+    // ascending cut-offs.
+    let mut counted = 0;
+    let mut protected_so_far = 0;
+    let raw = discounted_sum(cutoffs, n, protected_total, term, |cutoff| {
+        protected_so_far += members[counted..cutoff].iter().filter(|&&m| m).count();
+        counted = cutoff;
+        protected_so_far
+    });
 
-    // Worst cases: all protected at the bottom / all protected at the top.
-    let mut worst_bottom = vec![false; n - protected_total];
-    worst_bottom.extend(std::iter::repeat_n(true, protected_total));
-    let mut worst_top = vec![true; protected_total];
-    worst_top.extend(std::iter::repeat_n(false, n - protected_total));
-    let z = discounted_sum(&worst_bottom, cutoffs, protected_total, term).max(discounted_sum(
-        &worst_top,
-        cutoffs,
-        protected_total,
-        term,
-    ));
+    // Worst cases, in closed form: all protected at the bottom (a prefix of
+    // length c holds the c − (n − P) that spill past the non-protected), or
+    // all protected at the top (it holds min(c, P)).
+    let non_protected = n - protected_total;
+    let worst_bottom = discounted_sum(cutoffs, n, protected_total, term, |cutoff| {
+        cutoff.saturating_sub(non_protected)
+    });
+    let worst_top = discounted_sum(cutoffs, n, protected_total, term, |cutoff| {
+        cutoff.min(protected_total)
+    });
+    let z = worst_bottom.max(worst_top);
 
     if z <= 0.0 {
         // The measure cannot distinguish any ranking (e.g. a single cut-off
@@ -210,19 +218,19 @@ fn normalized_measure(
 
 /// `Σ_{cutoff i} term(i) / log2(i)` (the log2 of a cut-off of 1 would be 0;
 /// such a cut-off only occurs for n = 1, which the degenerate-group check
-/// already rejects).
+/// already rejects).  `protected_in_prefix` maps each cut-off, called in
+/// ascending order, to the protected items among the first `cutoff`.
 fn discounted_sum(
-    members: &[bool],
     cutoffs: &[usize],
+    n: usize,
     protected_total: usize,
     term: fn(&PrefixStats) -> f64,
+    mut protected_in_prefix: impl FnMut(usize) -> usize,
 ) -> f64 {
-    let n = members.len();
     let mut sum = 0.0;
     for &cutoff in cutoffs {
-        let protected_in_prefix = members[..cutoff].iter().filter(|&&m| m).count();
         let stats = PrefixStats {
-            protected_in_prefix,
+            protected_in_prefix: protected_in_prefix(cutoff),
             prefix: cutoff,
             protected_total,
             n,
@@ -240,6 +248,82 @@ fn discounted_sum(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The original quadratic evaluation: every cut-off recounts its prefix,
+    /// and the worst cases are materialized as membership vectors.
+    fn quadratic_measure(
+        members: &[bool],
+        cutoffs: &[usize],
+        term: fn(&PrefixStats) -> f64,
+    ) -> f64 {
+        fn sum(
+            members: &[bool],
+            cutoffs: &[usize],
+            protected_total: usize,
+            term: fn(&PrefixStats) -> f64,
+        ) -> f64 {
+            let mut sum = 0.0;
+            for &cutoff in cutoffs {
+                let stats = PrefixStats {
+                    protected_in_prefix: members[..cutoff].iter().filter(|&&m| m).count(),
+                    prefix: cutoff,
+                    protected_total,
+                    n: members.len(),
+                };
+                let discount = (cutoff as f64).log2();
+                if discount > 0.0 {
+                    sum += term(&stats) / discount;
+                } else {
+                    sum += term(&stats);
+                }
+            }
+            sum
+        }
+        let n = members.len();
+        let protected_total = members.iter().filter(|&&m| m).count();
+        if cutoffs.is_empty() {
+            return 0.0;
+        }
+        let raw = sum(members, cutoffs, protected_total, term);
+        let mut worst_bottom = vec![false; n - protected_total];
+        worst_bottom.extend(std::iter::repeat_n(true, protected_total));
+        let mut worst_top = vec![true; protected_total];
+        worst_top.extend(std::iter::repeat_n(false, n - protected_total));
+        let z = sum(&worst_bottom, cutoffs, protected_total, term).max(sum(
+            &worst_top,
+            cutoffs,
+            protected_total,
+            term,
+        ));
+        if z <= 0.0 {
+            return 0.0;
+        }
+        (raw / z).clamp(0.0, 1.0)
+    }
+
+    proptest! {
+        /// The single-pass running count and the closed-form worst cases
+        /// reproduce the quadratic evaluation bit for bit.
+        #[test]
+        fn discounted_single_pass_matches_the_quadratic_evaluation(
+            draws in prop::collection::vec(0u8..100, 2..=500),
+            share in 1u8..100,
+            step in 1usize..=15,
+        ) {
+            // Each item is protected with probability `share`%, so groups
+            // range from a lone protected item to a lone non-protected one.
+            let members: Vec<bool> = draws.iter().map(|&d| d < share).collect();
+            let protected = members.iter().filter(|&&m| m).count();
+            prop_assume!(protected > 0 && protected < members.len());
+            let cutoffs = cutoff_positions(members.len(), step);
+            for term in [difference_term, kl_term, ratio_term] {
+                let fast = normalized_measure(&members, &cutoffs, term).unwrap();
+                let slow = quadratic_measure(&members, &cutoffs, term);
+                prop_assert_eq!(fast.to_bits(), slow.to_bits());
+            }
+        }
+    }
 
     fn group_from(members: &[bool]) -> ProtectedGroup {
         ProtectedGroup::from_membership("g", "x", members.to_vec()).unwrap()

@@ -21,7 +21,9 @@
 //!
 //! The kernel consumes the trial's RNG in exactly the order the materialized
 //! path does (data noise per perturbed column in schema order, then one
-//! weight jitter per recipe attribute) and performs every floating-point
+//! weight jitter per recipe attribute), draws the noise with the same
+//! ziggurat sampler (`crate::perturb::gaussian`, usually one `u64` and one
+//! table compare per value) and performs every floating-point
 //! operation in the same order with the same expressions — including the
 //! reference path's quirks (weight jitter resets the missing-value policy to
 //! its default; a ranking-size mismatch degrades Kendall tau to `0.0`).  The

@@ -51,7 +51,14 @@ use std::time::{SystemTime, UNIX_EPOCH};
 /// File magic: "RFL1" (Ranking Facts Label, layout 1).
 pub const MAGIC: [u8; 4] = *b"RFL1";
 /// On-disk format version; bumping it invalidates (quarantines) older files.
-pub const FORMAT_VERSION: u32 = 1;
+///
+/// Bump it whenever the same inputs now yield different label bytes: a new
+/// frame layout, and also any change to what a label computes for a given
+/// table and configuration (such as the Monte-Carlo noise sampler).  Entries
+/// are keyed by the inputs' fingerprints, not by the code that rendered
+/// them, so without a bump a restarted server would serve an older build's
+/// bytes as this build's.  Version 2: ziggurat Monte-Carlo noise.
+pub const FORMAT_VERSION: u32 = 2;
 /// Fixed header size: magic (4) + version (4) + fill millis (8) +
 /// body length (8) + FNV-1a body checksum (8).
 pub const HEADER_LEN: usize = 32;
@@ -1093,14 +1100,32 @@ mod tests {
         let mut bytes = fs::read(&skewed).unwrap();
         bytes[4..8].copy_from_slice(&99u32.to_le_bytes());
         fs::write(&skewed, &bytes).unwrap();
+        // A well-formed frame written by a version-1 build: its label bytes
+        // came from older code, so it must not be served either.
+        let stale = scratch.path().join(key(4).file_name());
+        let mut bytes = frame(5, b"version-1 label");
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        fs::write(&stale, &bytes).unwrap();
 
         let store = DiskStore::open(scratch.path(), 1 << 20).unwrap();
         let stats = store.stats();
         assert_eq!(stats.entries, 1, "only the intact entry survives");
-        assert_eq!(stats.corrupt_dropped, 2);
+        assert_eq!(stats.corrupt_dropped, 3);
         assert!(store.lookup(key(1), None, 0).is_none());
         assert!(store.lookup(key(2), None, 0).is_none());
+        assert!(store.lookup(key(4), None, 0).is_none());
+        assert!(scratch
+            .path()
+            .join(QUARANTINE_DIR)
+            .join(key(4).file_name())
+            .exists());
         assert_eq!(store.lookup(key(3), None, 0).unwrap().body, b"intact");
+
+        // The caller regenerates the stale label; the new frame is served.
+        put(&store, key(4), 6, "regenerated");
+        let hit = store.lookup(key(4), None, 0).expect("regenerated entry");
+        assert_eq!(hit.body, b"regenerated");
+        assert_eq!(hit.fill_unix_millis, 6);
     }
 
     #[test]
