@@ -6,12 +6,19 @@
 //! cargo run -p rf-bench --bin figure2_stability
 //! ```
 
-use rf_bench::{cs_label, print_banner};
+use rf_bench::{cs_label_config, cs_table, print_banner};
+use rf_core::AnalysisPipeline;
+use std::sync::Arc;
 
 fn main() {
     print_banner("Figure 2 — Stability: detailed widget (CS departments)");
-    let label = cs_label();
+    let pipeline = AnalysisPipeline::new();
+    let ctx = pipeline
+        .prepare(Arc::new(cs_table()), Arc::new(cs_label_config()))
+        .expect("prepare");
+    let label = pipeline.render(&ctx).expect("CS label");
     let slope = &label.stability.slope;
+    let scores = ctx.ranking.scores_in_rank_order();
 
     println!(
         "Stability threshold: a score distribution is UNSTABLE if the slope is {:.2} or lower.\n",
@@ -19,16 +26,8 @@ fn main() {
     );
 
     for (name, slice, scores) in [
-        (
-            "Top-10",
-            &slope.top_k,
-            &label.ranking.scores_in_rank_order()[..slope.k],
-        ),
-        (
-            "Over-all",
-            &slope.overall,
-            &label.ranking.scores_in_rank_order()[..],
-        ),
+        ("Top-10", &slope.top_k, &scores[..slope.k]),
+        ("Over-all", &slope.overall, &scores[..]),
     ] {
         println!(
             "{name}: slope magnitude {:.3} (raw {:.3}), intercept {:.3}, R² {:.3} → {}",

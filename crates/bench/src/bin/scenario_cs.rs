@@ -8,14 +8,19 @@
 //! ```
 
 use rf_bench::{cs_label_config, cs_table, print_banner};
-use rf_core::NutritionalLabel;
+use rf_core::AnalysisPipeline;
 use rf_ranking::ScoringFunction;
+use std::sync::Arc;
 
 fn main() {
-    let table = cs_table();
+    let pipeline = AnalysisPipeline::new();
+    let table = Arc::new(cs_table());
 
     print_banner("Scenario 1a — CS departments, default recipe (0.4/0.4/0.2)");
-    let label = NutritionalLabel::generate(&table, &cs_label_config()).expect("label");
+    let ctx = pipeline
+        .prepare(Arc::clone(&table), Arc::new(cs_label_config()))
+        .expect("prepare");
+    let label = pipeline.render(&ctx).expect("label");
     println!("{}", label.to_text());
 
     print_banner("Scenario 1b — what if the user weights GRE heavily? (0.1/0.1/0.8)");
@@ -27,17 +32,21 @@ fn main() {
         scoring: alt_scoring,
         ..alt_config
     };
-    let alt_label = NutritionalLabel::generate(&table, &alt_config).expect("label");
+    let alt_ctx = pipeline
+        .prepare(table, Arc::new(alt_config))
+        .expect("prepare");
+    let alt_label = pipeline.render(&alt_ctx).expect("label");
     println!("{}", alt_label.to_text());
 
     print_banner("Comparison");
     println!("default recipe headline: {}", label.headline());
     println!("GRE-heavy recipe headline: {}", alt_label.headline());
-    let overlap = label
+    let alt_top = alt_ctx.ranking.top_k_indices(10);
+    let overlap = ctx
         .ranking
         .top_k_indices(10)
         .iter()
-        .filter(|idx| alt_label.ranking.top_k_indices(10).contains(idx))
+        .filter(|idx| alt_top.contains(idx))
         .count();
     println!("top-10 overlap between the two recipes: {overlap}/10 departments");
 }

@@ -147,7 +147,11 @@ mod tests {
         let config = cs_label_config();
         assert!(config.validate(&table).is_ok());
         let label = cs_label();
-        assert_eq!(label.ranking.len(), table.num_rows());
+        assert_eq!(label.ranked_items, table.num_rows());
+        let ctx = AnalysisPipeline::new()
+            .prepare(Arc::new(table.clone()), Arc::new(config))
+            .unwrap();
+        assert_eq!(ctx.ranking.len(), table.num_rows());
     }
 
     #[test]

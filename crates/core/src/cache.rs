@@ -9,13 +9,16 @@
 //! [`LabelService`](crate::LabelService) fronts the pipeline with.
 //!
 //! The cache is bounded two ways: by **entry count** and by **resident
-//! bytes**.  An entry's cost is its rendered-JSON length *plus* the
+//! bytes**.  An entry is charged its rendered-JSON length *plus* the
 //! approximate heap footprint of the table it keeps alive
 //! ([`Table::approx_heap_bytes`]) — uploaded tables are retained for hit
 //! verification, so they must count against the bound or uploads could pin
 //! unbounded memory behind a small-looking `bytes` figure.  (Catalog tables
 //! are `Arc`-shared across their entries, so charging each entry the full
-//! table over-counts them; the error is on the safe side.)  Whichever bound
+//! table over-counts them; the error is on the safe side.)  The held
+//! [`NutritionalLabel`] is not charged: it carries the top-k and the
+//! widgets, O(k + widgets) whatever the table's row count, and its JSON —
+//! which is charged — renders the same content.  Whichever bound
 //! is exceeded first evicts least-recently-used entries.  A third, optional
 //! bound is **time**: [`LabelCache::with_ttl`] expires entries a fixed
 //! duration after insertion (checked on hit, counted in
@@ -64,9 +67,14 @@ impl CacheKey {
 /// `label.json` hit path is a reference-counted clone — no pipeline work, no
 /// re-serialization.  HTML and text render from the label on demand.  The
 /// deliberate cost of that choice: a cold request that only wants HTML still
-/// pays one JSON render to keep its cache entry complete (and to give the
-/// byte bound an exact size); that render is a small fraction of the
-/// generation it accompanies.
+/// pays one JSON render to keep its cache entry complete; that render is a
+/// small fraction of the generation it accompanies.
+///
+/// The byte bound charges an entry its JSON length plus its retained table.
+/// The label itself goes uncharged, which is sound because it is
+/// O(k + widgets): it holds the item count and the top-k rows, never the
+/// full O(n) ranking (that stays on the prepared
+/// [`AnalysisContext`](crate::AnalysisContext)).
 #[derive(Debug, Clone)]
 pub struct CachedLabel {
     /// The assembled label.

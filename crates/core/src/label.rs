@@ -26,15 +26,21 @@ pub struct RankedRow {
     pub score: f64,
 }
 
-/// The complete Ranking Facts label: the ranking plus the six widgets.
+/// The complete Ranking Facts label: the top-k plus the six widgets.
+///
+/// The label carries what it shows, so its size is O(k + widgets) and does
+/// not grow with the table: the number of ranked items, the top-k display
+/// rows, and the widgets.  The full order induced by the Recipe lives on the
+/// prepared [`AnalysisContext::ranking`](crate::AnalysisContext::ranking);
+/// callers that need it call [`AnalysisPipeline::prepare`].
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct NutritionalLabel {
     /// Dataset name (from the configuration), if provided.
     pub dataset_name: Option<String>,
     /// The configuration the label was generated with.
     pub config: LabelConfig,
-    /// The full ranking induced by the Recipe.
-    pub ranking: Ranking,
+    /// Number of items in the ranking (every row of the table).
+    pub ranked_items: usize,
     /// Display rows for the top-k.
     pub top_k_rows: Vec<RankedRow>,
     /// The Recipe widget.
@@ -209,7 +215,11 @@ mod tests {
     fn generates_complete_label() {
         let table = departments();
         let label = NutritionalLabel::generate(&table, &config()).unwrap();
-        assert_eq!(label.ranking.len(), 30);
+        assert_eq!(label.ranked_items, 30);
+        let ctx = AnalysisPipeline::new()
+            .prepare(Arc::new(table), Arc::new(config()))
+            .unwrap();
+        assert_eq!(ctx.ranking.len(), 30);
         assert_eq!(label.top_k_rows.len(), 10);
         assert_eq!(label.recipe.entries.len(), 3);
         assert!(!label.ingredients.ingredients.is_empty());

@@ -22,9 +22,10 @@
 //! ## Quickstart
 //!
 //! ```
-//! use rf_core::{LabelConfig, NutritionalLabel};
+//! use rf_core::{AnalysisPipeline, LabelConfig, NutritionalLabel};
 //! use rf_ranking::ScoringFunction;
 //! use rf_table::{Column, Table};
+//! use std::sync::Arc;
 //!
 //! // A small dataset of departments.
 //! let table = Table::from_columns(vec![
@@ -44,8 +45,16 @@
 //!     .with_diversity_attribute("Size");
 //!
 //! let label = NutritionalLabel::generate(&table, &config).unwrap();
-//! assert_eq!(label.ranking.top_k(3).len(), 3);
+//! assert_eq!(label.ranked_items, 6);
+//! assert_eq!(label.top_k_rows.len(), 3);
 //! println!("{}", label.to_text());
+//!
+//! // The label ships the top-k, not the full order: that lives on the
+//! // prepared analysis context.
+//! let pipeline = AnalysisPipeline::new();
+//! let ctx = pipeline.prepare(Arc::new(table), Arc::new(config)).unwrap();
+//! assert_eq!(ctx.ranking.top_k(3).len(), 3);
+//! assert_eq!(pipeline.render(&ctx).unwrap(), label);
 //! ```
 
 #![forbid(unsafe_code)]

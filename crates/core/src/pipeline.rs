@@ -882,7 +882,7 @@ impl AnalysisPipeline {
         NutritionalLabel {
             dataset_name: ctx.config.dataset_name.clone(),
             config: (*ctx.config).clone(),
-            ranking: ctx.ranking.clone(),
+            ranked_items: ctx.ranking.len(),
             top_k_rows: top_k_rows.expect("top-rows builder always runs"),
             recipe: recipe.expect("recipe builder always runs"),
             ingredients: ingredients.expect("ingredients builder always runs"),

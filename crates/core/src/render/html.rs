@@ -26,7 +26,7 @@ pub fn render_html(label: &NutritionalLabel) -> String {
         body,
         "<header><h1>Ranking Facts</h1><p class=\"dataset\">{title} &mdash; {} items</p>\
          <p class=\"headline\">{}</p></header>",
-        label.ranking.len(),
+        label.ranked_items,
         escape(&label.headline())
     );
 

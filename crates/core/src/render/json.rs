@@ -30,7 +30,8 @@ mod tests {
         assert!(value.get("stability").is_some());
         assert!(value.get("fairness").is_some());
         assert!(value.get("diversity").is_some());
-        assert!(value.get("ranking").is_some());
+        assert_eq!(value["ranked_items"], 24);
+        assert!(value.get("ranking").is_none());
         assert_eq!(value["dataset_name"], "sample");
     }
 
@@ -45,8 +46,14 @@ mod tests {
         let parsed: crate::NutritionalLabel = serde_json::from_str(&json).unwrap();
         let json_again = render_json(&parsed).unwrap();
         assert_eq!(json, json_again);
-        assert_eq!(parsed.ranking.order(), label.ranking.order());
+        assert_eq!(parsed.ranked_items, label.ranked_items);
         assert_eq!(parsed.top_k_rows.len(), label.top_k_rows.len());
+        for (back, row) in parsed.top_k_rows.iter().zip(&label.top_k_rows) {
+            assert_eq!(
+                (back.rank, back.row_index, &back.identifier),
+                (row.rank, row.row_index, &row.identifier)
+            );
+        }
         assert_eq!(parsed.fairness.reports.len(), label.fairness.reports.len());
         assert_eq!(parsed.dataset_name, label.dataset_name);
     }

@@ -19,7 +19,7 @@ pub fn render_text(label: &NutritionalLabel) -> String {
         "==================== Ranking Facts ===================="
     );
     let _ = writeln!(out, "Dataset: {title}");
-    let _ = writeln!(out, "Items ranked: {}", label.ranking.len());
+    let _ = writeln!(out, "Items ranked: {}", label.ranked_items);
     let _ = writeln!(out, "Headline: {}", label.headline());
     let _ = writeln!(out);
 

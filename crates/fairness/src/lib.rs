@@ -43,7 +43,7 @@ pub use error::{FairnessError, FairnessResult};
 pub use fair_star::{adjust_alpha, minimum_protected_table, FairStarOutcome, FairStarTest};
 pub use generative::{GenerativeModel, GenerativeSummary, MeasureDistribution};
 pub use group::ProtectedGroup;
-pub use measures::{rkl, rnd, rrd, DiscountedMeasures};
+pub use measures::{cutoff_positions, rkl, rnd, rrd, DiscountedMeasures};
 pub use pairwise::{PairwiseOutcome, PairwiseTest};
 pub use proportion::{ProportionOutcome, ProportionTest};
 pub use report::{FairnessReport, FairnessVerdict, MeasureOutcome};

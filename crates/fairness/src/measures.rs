@@ -32,8 +32,9 @@ pub struct DiscountedMeasures {
     pub rkl: f64,
     /// Normalized discounted ratio difference.
     pub rrd: f64,
-    /// The cut-off positions that were evaluated.
-    pub cutoffs: Vec<usize>,
+    /// Spacing between the evaluated cut-offs.  Together with the ranking's
+    /// length it names every cut-off: [`cutoff_positions`]`(n, cutoff_step)`.
+    pub cutoff_step: usize,
 }
 
 impl DiscountedMeasures {
@@ -67,7 +68,7 @@ impl DiscountedMeasures {
             rnd: normalized_measure(&members, &cutoffs, difference_term)?,
             rkl: normalized_measure(&members, &cutoffs, kl_term)?,
             rrd: normalized_measure(&members, &cutoffs, ratio_term)?,
-            cutoffs,
+            cutoff_step: step,
         })
     }
 }
@@ -99,9 +100,13 @@ pub fn rrd(members_in_rank_order: &[bool]) -> FairnessResult<f64> {
     normalized_measure(members_in_rank_order, &cutoffs, ratio_term)
 }
 
-/// Cut-off positions `step, 2·step, …` that fit in a ranking of length `n`;
-/// falls back to the single cut-off `n` for rankings shorter than `step`.
-fn cutoff_positions(n: usize, step: usize) -> Vec<usize> {
+/// Cut-off positions `step, 2·step, …` that fit in a ranking of length `n`.
+///
+/// A ranking shorter than `step` (`n < step`) is evaluated at the single
+/// cut-off `n`, and an empty ranking at none.  This expands
+/// [`DiscountedMeasures::cutoff_step`] back into the evaluated cut-offs.
+#[must_use]
+pub fn cutoff_positions(n: usize, step: usize) -> Vec<usize> {
     if n == 0 {
         return Vec::new();
     }
@@ -400,7 +405,7 @@ mod tests {
         let group = group_from(&members);
         let ranking = identity_ranking(30);
         let m = DiscountedMeasures::evaluate(&group, &ranking).unwrap();
-        assert_eq!(m.cutoffs, vec![10, 20, 30]);
+        assert_eq!(cutoff_positions(30, m.cutoff_step), vec![10, 20, 30]);
         assert!(m.rnd < 0.1);
         assert!(m.rkl < 0.1);
         assert!(m.rrd < 0.1);
@@ -414,7 +419,7 @@ mod tests {
         let ranking = identity_ranking(20);
         let coarse = DiscountedMeasures::evaluate_with_step(&group, &ranking, 10).unwrap();
         let fine = DiscountedMeasures::evaluate_with_step(&group, &ranking, 2).unwrap();
-        assert_eq!(fine.cutoffs.len(), 10);
+        assert_eq!(cutoff_positions(20, fine.cutoff_step).len(), 10);
         // Both agree the ranking is maximally skewed.
         assert!((coarse.rnd - 1.0).abs() < 1e-9);
         assert!((fine.rnd - 1.0).abs() < 1e-9);
@@ -427,7 +432,7 @@ mod tests {
         let group = group_from(&members);
         let ranking = identity_ranking(4);
         let m = DiscountedMeasures::evaluate(&group, &ranking).unwrap();
-        assert_eq!(m.cutoffs, vec![4]);
+        assert_eq!(cutoff_positions(4, m.cutoff_step), vec![4]);
         // The single cut-off covers the whole ranking, so every ranking looks
         // proportional and the measure cannot discriminate.
         assert_eq!(m.rnd, 0.0);

@@ -22,6 +22,10 @@
 //! and adds `execute_notify`, whose notify-even-on-panic guarantee rf-net's
 //! completion hook depends on.
 //!
+//! Each worker runs pinned to one CPU, the workers of a pool on distinct
+//! CPUs where there are enough (see the `affinity` module): the kernel's
+//! wake-up placement could otherwise herd a whole pool onto one CPU.
+//!
 //! A process-wide pool is available through [`global`]; independent pools can
 //! be created for tests or dedicated subsystems.  Jobs are `'static` — shared
 //! state crosses into the scheduler via `Arc`.
@@ -33,8 +37,10 @@
 //! observability counters (queue depth, steals, executed and panicked tasks)
 //! that the HTTP `/stats` endpoint serves.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
+
+mod affinity;
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -178,7 +184,10 @@ impl Shared {
     }
 }
 
-fn worker_loop(shared: &Arc<Shared>, index: usize) {
+fn worker_loop(shared: &Arc<Shared>, index: usize, cpu: Option<usize>) {
+    if let Some(cpu) = cpu {
+        affinity::pin_current(cpu);
+    }
     WORKER.with(|cell| cell.set((Arc::as_ptr(shared) as usize, index + 1)));
     loop {
         if let Some(job) = shared.find_job() {
@@ -302,12 +311,14 @@ impl Scheduler {
             executed: AtomicU64::new(0),
             queue_wait_observer: OnceLock::new(),
         });
-        let workers = (0..size)
-            .map(|index| {
+        let workers = affinity::reserve(size)
+            .into_iter()
+            .enumerate()
+            .map(|(index, cpu)| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("rf-runtime-{index}"))
-                    .spawn(move || worker_loop(&shared, index))
+                    .spawn(move || worker_loop(&shared, index, cpu))
                     .expect("spawn rf-runtime worker")
             })
             .collect();

@@ -264,9 +264,15 @@ mod tests {
         // the fairness widget's binary-attribute rule), so prove the entry
         // actually serves a label end to end.
         let config = entry.config.clone().with_monte_carlo_trials(2);
-        let label = rf_core::NutritionalLabel::generate(&entry.table, &config)
+        let pipeline = rf_core::AnalysisPipeline::new();
+        let ctx = pipeline
+            .prepare(Arc::clone(&entry.table), Arc::new(config))
+            .expect("catalogued synth scenario must prepare");
+        assert_eq!(ctx.ranking.len(), 2_000);
+        let label = pipeline
+            .render(&ctx)
             .expect("catalogued synth scenario must label");
-        assert_eq!(label.ranking.len(), 2_000);
+        assert_eq!(label.ranked_items, 2_000);
         // Registration is deterministic: re-registering replaces the entry
         // with an identical table.
         let before = entry.table.fingerprint();

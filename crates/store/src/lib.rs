@@ -58,7 +58,9 @@ pub const MAGIC: [u8; 4] = *b"RFL1";
 /// are keyed by the inputs' fingerprints, not by the code that rendered
 /// them, so without a bump a restarted server would serve an older build's
 /// bytes as this build's.  Version 2: ziggurat Monte-Carlo noise.
-pub const FORMAT_VERSION: u32 = 2;
+/// Version 3: the label drops its full ranking (`ranked_items` instead) and
+/// its discounted cut-off list (`cutoff_step` instead).
+pub const FORMAT_VERSION: u32 = 3;
 /// Fixed header size: magic (4) + version (4) + fill millis (8) +
 /// body length (8) + FNV-1a body checksum (8).
 pub const HEADER_LEN: usize = 32;
@@ -1100,11 +1102,12 @@ mod tests {
         let mut bytes = fs::read(&skewed).unwrap();
         bytes[4..8].copy_from_slice(&99u32.to_le_bytes());
         fs::write(&skewed, &bytes).unwrap();
-        // A well-formed frame written by a version-1 build: its label bytes
-        // came from older code, so it must not be served either.
+        // A well-formed frame written by the build before the last format
+        // bump: its label bytes came from older code, so it must not be
+        // served either.
         let stale = scratch.path().join(key(4).file_name());
-        let mut bytes = frame(5, b"version-1 label");
-        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        let mut bytes = frame(5, b"previous-format label");
+        bytes[4..8].copy_from_slice(&(FORMAT_VERSION - 1).to_le_bytes());
         fs::write(&stale, &bytes).unwrap();
 
         let store = DiskStore::open(scratch.path(), 1 << 20).unwrap();

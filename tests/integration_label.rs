@@ -1,27 +1,50 @@
 //! Cross-crate integration tests: synthetic dataset → scoring function →
 //! nutritional label, checking that the widgets are mutually consistent.
 
-use rf_core::{LabelConfig, NutritionalLabel};
+use rf_core::{AnalysisContext, AnalysisPipeline, LabelConfig, NutritionalLabel};
 use rf_datasets::CsDepartmentsConfig;
 use rf_ranking::ScoringFunction;
+use rf_table::{Fingerprinter, Table};
+use std::sync::Arc;
 
-fn cs_label() -> NutritionalLabel {
-    let table = CsDepartmentsConfig::default().generate().unwrap();
+fn cs_config() -> LabelConfig {
     let scoring =
         ScoringFunction::from_pairs([("PubCount", 0.4), ("Faculty", 0.4), ("GRE", 0.2)]).unwrap();
-    let config = LabelConfig::new(scoring)
+    LabelConfig::new(scoring)
         .with_top_k(10)
         .with_dataset_name("CS departments")
         .with_sensitive_attribute("DeptSizeBin", ["large", "small"])
         .with_diversity_attribute("DeptSizeBin")
-        .with_diversity_attribute("Region");
-    NutritionalLabel::generate(&table, &config).unwrap()
+        .with_diversity_attribute("Region")
+}
+
+fn cs_label() -> NutritionalLabel {
+    let table = CsDepartmentsConfig::default().generate().unwrap();
+    NutritionalLabel::generate(&table, &cs_config()).unwrap()
+}
+
+/// Prepares `table` under `config` and renders its label: the label carries
+/// the top-k, the prepared context the full order.
+fn prepared(table: Table, config: LabelConfig) -> (Arc<AnalysisContext>, NutritionalLabel) {
+    let pipeline = AnalysisPipeline::new();
+    let ctx = pipeline.prepare(Arc::new(table), Arc::new(config)).unwrap();
+    let label = pipeline.render(&ctx).unwrap();
+    (ctx, label)
+}
+
+fn cs_prepared() -> (Arc<AnalysisContext>, NutritionalLabel) {
+    prepared(
+        CsDepartmentsConfig::default().generate().unwrap(),
+        cs_config(),
+    )
 }
 
 #[test]
 fn label_generates_for_the_cs_scenario() {
-    let label = cs_label();
-    assert_eq!(label.ranking.len(), 97);
+    let (ctx, label) = cs_prepared();
+    assert_eq!(ctx.ranking.len(), 97);
+    assert_eq!(label.ranked_items, 97);
+    assert_eq!(label, cs_label());
     assert_eq!(label.top_k_rows.len(), 10);
     assert_eq!(label.recipe.entries.len(), 3);
     assert_eq!(label.fairness.reports.len(), 2);
@@ -30,16 +53,16 @@ fn label_generates_for_the_cs_scenario() {
 
 #[test]
 fn ranking_is_a_permutation_of_the_dataset() {
-    let label = cs_label();
-    let mut order = label.ranking.order();
+    let (ctx, _) = cs_prepared();
+    let mut order = ctx.ranking.order();
     order.sort_unstable();
     assert_eq!(order, (0..97).collect::<Vec<_>>());
 }
 
 #[test]
 fn top_k_rows_agree_with_ranking() {
-    let label = cs_label();
-    for (row, item) in label.top_k_rows.iter().zip(label.ranking.top_k(10).iter()) {
+    let (ctx, label) = cs_prepared();
+    for (row, item) in label.top_k_rows.iter().zip(ctx.ranking.top_k(10).iter()) {
         assert_eq!(row.rank, item.rank);
         assert_eq!(row.row_index, item.index);
         assert!((row.score - item.score).abs() < 1e-12);
@@ -138,10 +161,11 @@ fn changing_weights_changes_the_ranking_but_not_the_schema() {
     let config_b =
         LabelConfig::new(ScoringFunction::from_pairs([("PubCount", 0.0), ("GRE", 1.0)]).unwrap())
             .with_top_k(10);
-    let label_a = NutritionalLabel::generate(&table, &config_a).unwrap();
-    let label_b = NutritionalLabel::generate(&table, &config_b).unwrap();
-    assert_ne!(label_a.ranking.order(), label_b.ranking.order());
-    assert_eq!(label_a.ranking.len(), label_b.ranking.len());
+    let (ctx_a, label_a) = prepared(table.clone(), config_a);
+    let (ctx_b, label_b) = prepared(table, config_b);
+    assert_ne!(ctx_a.ranking.order(), ctx_b.ranking.order());
+    assert_eq!(ctx_a.ranking.len(), ctx_b.ranking.len());
+    assert_eq!(label_a.ranked_items, label_b.ranked_items);
 }
 
 #[test]
@@ -168,4 +192,72 @@ fn invalid_configurations_are_rejected() {
         .with_top_k(10)
         .with_sensitive_attribute("Region", ["NE"]);
     assert!(NutritionalLabel::generate(&table, &config).is_err());
+}
+
+// Label size guard: the label ships what it shows, O(k + widgets), never the
+// full O(n) order.  Run on its own with `cargo test --test integration_label
+// label_size_guard`.
+
+#[test]
+fn label_size_guard_json_does_not_grow_with_the_table() {
+    let lengths: Vec<usize> = [1_000, 20_000]
+        .into_iter()
+        .map(|rows| {
+            let (table, config) = rf_bench::synth_scenario(rows);
+            let (_, label) = prepared(table, config.with_monte_carlo_trials(0));
+            assert_eq!(label.ranked_items, rows);
+            label.to_json().unwrap().len()
+        })
+        .collect();
+    let (small, large) = (lengths[0] as f64, lengths[1] as f64);
+    assert!(
+        (large - small).abs() <= 0.05 * small,
+        "a 20k-row label ({large} B) must weigh within 5% of a 1k-row one ({small} B)"
+    );
+}
+
+#[test]
+fn label_size_guard_compas_catalogue_label_is_small() {
+    let catalog = rf_server::DatasetCatalog::with_demo_datasets();
+    let entry = catalog.get("compas").unwrap();
+    let config = entry.config.clone().with_top_k(87);
+    let (_, label) = prepared((*entry.table).clone(), config);
+    assert_eq!(label.ranked_items, 2_000);
+    assert_eq!(label.top_k_rows.len(), 87);
+    let pretty = label.to_json().unwrap().len();
+    assert!(pretty <= 40_000, "compas label at k = 87 is {pretty} B");
+}
+
+/// FNV-1a over the rendered bytes.
+fn digest(rendered: &str) -> u64 {
+    let mut hasher = Fingerprinter::new();
+    hasher.write_bytes(rendered.as_bytes());
+    hasher.finish()
+}
+
+#[test]
+fn label_size_guard_text_and_html_renders_are_unchanged() {
+    // Digests of the catalogue's three demo labels, rendered when the label
+    // still carried the full ranking: the renderers only ever read its
+    // length, so dropping the order must not move a byte.
+    let golden = [
+        (
+            "cs-departments",
+            0xba80_c2e5_b7da_f193_u64,
+            0xdf72_e637_e774_7de3_u64,
+        ),
+        ("compas", 0x00b5_2545_0b34_c4df, 0xf7f2_e567_9c9e_d326),
+        (
+            "german-credit",
+            0x672f_dd6f_84be_dd9a,
+            0x4206_08dc_1448_fa2c,
+        ),
+    ];
+    let catalog = rf_server::DatasetCatalog::with_demo_datasets();
+    for (slug, text_digest, html_digest) in golden {
+        let entry = catalog.get(slug).unwrap();
+        let (_, label) = prepared((*entry.table).clone(), entry.config.clone());
+        assert_eq!(digest(&label.to_text()), text_digest, "{slug} text");
+        assert_eq!(digest(&label.to_html()), html_digest, "{slug} html");
+    }
 }

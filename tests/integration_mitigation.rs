@@ -2,9 +2,10 @@
 //! realistic dataset: the CS departments scenario where small departments are
 //! shut out of the top-10.
 
-use rf_core::{LabelConfig, MitigationSearch, NutritionalLabel};
+use rf_core::{AnalysisPipeline, LabelConfig, MitigationSearch, NutritionalLabel};
 use rf_datasets::CsDepartmentsConfig;
 use rf_ranking::ScoringFunction;
+use std::sync::Arc;
 
 fn scenario() -> (rf_table::Table, LabelConfig) {
     let table = CsDepartmentsConfig::default().generate().unwrap();
@@ -46,6 +47,8 @@ fn mitigation_improves_on_a_size_driven_recipe() {
     assert!(best.attributes_losing_categories <= original_entry.attributes_losing_categories);
 
     // Every suggestion can actually be turned back into a label.
+    let pipeline = AnalysisPipeline::new();
+    let shared_table = Arc::new(table.clone());
     for suggestion in &suggestions {
         let scoring = ScoringFunction::with_normalization(
             suggestion.weights.clone(),
@@ -56,8 +59,12 @@ fn mitigation_improves_on_a_size_driven_recipe() {
             scoring,
             ..config.clone()
         };
-        let label = NutritionalLabel::generate(&table, &candidate_config).unwrap();
-        assert_eq!(label.ranking.len(), table.num_rows());
+        let ctx = pipeline
+            .prepare(Arc::clone(&shared_table), Arc::new(candidate_config))
+            .unwrap();
+        assert_eq!(ctx.ranking.len(), table.num_rows());
+        let label = pipeline.render(&ctx).unwrap();
+        assert_eq!(label.ranked_items, table.num_rows());
     }
 }
 

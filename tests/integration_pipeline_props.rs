@@ -2,9 +2,10 @@
 //! and scoring weights, checking label-wide invariants.
 
 use proptest::prelude::*;
-use rf_core::{LabelConfig, NutritionalLabel};
+use rf_core::{AnalysisPipeline, LabelConfig, NutritionalLabel};
 use rf_ranking::ScoringFunction;
 use rf_table::{Column, Table};
+use std::sync::Arc;
 
 /// Builds a random but well-formed dataset: two numeric attributes, one
 /// binary group, one multi-valued category.
@@ -53,22 +54,25 @@ proptest! {
             .with_top_k(k)
             .with_sensitive_attribute("group", ["g1"])
             .with_diversity_attribute("category");
-        let label = NutritionalLabel::generate(&table, &config).unwrap();
+        let pipeline = AnalysisPipeline::new();
+        let ctx = pipeline.prepare(Arc::new(table), Arc::new(config)).unwrap();
+        let label = pipeline.render(&ctx).unwrap();
+        prop_assert_eq!(label.ranked_items, rows);
 
         // The ranking is a permutation of the rows.
-        let mut order = label.ranking.order();
+        let mut order = ctx.ranking.order();
         order.sort_unstable();
         prop_assert_eq!(order, (0..rows).collect::<Vec<_>>());
 
         // Scores in rank order never increase.
-        let scores = label.ranking.scores_in_rank_order();
+        let scores = ctx.ranking.scores_in_rank_order();
         for pair in scores.windows(2) {
             prop_assert!(pair[0] >= pair[1] - 1e-12);
         }
 
         // Top-k display rows match the ranking prefix.
         prop_assert_eq!(label.top_k_rows.len(), k);
-        for (row, item) in label.top_k_rows.iter().zip(label.ranking.top_k(k)) {
+        for (row, item) in label.top_k_rows.iter().zip(ctx.ranking.top_k(k)) {
             prop_assert_eq!(row.row_index, item.index);
         }
 
@@ -104,10 +108,17 @@ proptest! {
             label.stability.stability_score > label.config.stability_threshold
         );
 
-        // The label serializes to JSON and parses back with the same ranking.
+        // The label serializes to JSON and parses back with the same item
+        // count and the same top-k rows.
         let json = label.to_json().unwrap();
         let parsed: NutritionalLabel = serde_json::from_str(&json).unwrap();
-        prop_assert_eq!(parsed.ranking.order(), label.ranking.order());
+        prop_assert_eq!(parsed.ranked_items, label.ranked_items);
+        prop_assert_eq!(parsed.top_k_rows.len(), label.top_k_rows.len());
+        for (back, row) in parsed.top_k_rows.iter().zip(&label.top_k_rows) {
+            prop_assert_eq!(back.rank, row.rank);
+            prop_assert_eq!(back.row_index, row.row_index);
+            prop_assert_eq!(&back.identifier, &row.identifier);
+        }
         prop_assert_eq!(parsed.config, label.config);
     }
 }

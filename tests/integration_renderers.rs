@@ -85,7 +85,15 @@ fn json_render_roundtrips_and_matches_label_content() {
     // structural content survives (float formatting may differ by ULPs).
     let parsed: NutritionalLabel = serde_json::from_str(&json).unwrap();
     assert_eq!(render_json(&parsed).unwrap(), json);
-    assert_eq!(parsed.ranking.order(), label.ranking.order());
+    assert_eq!(value["ranked_items"], 97);
+    assert_eq!(parsed.ranked_items, label.ranked_items);
+    assert_eq!(parsed.top_k_rows.len(), label.top_k_rows.len());
+    for (back, row) in parsed.top_k_rows.iter().zip(&label.top_k_rows) {
+        assert_eq!(
+            (back.rank, back.row_index, &back.identifier),
+            (row.rank, row.row_index, &row.identifier)
+        );
+    }
     assert_eq!(parsed.config, label.config);
 }
 
