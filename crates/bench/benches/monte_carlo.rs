@@ -268,15 +268,17 @@ fn trials_by_workers(c: &mut Criterion) {
     group.finish();
 }
 
-/// The blocked tile kernel on growing synthetic scenarios (the interactive
-/// slice of the rows sweep; `emit_report` measures the full 10³→10⁶ grid,
-/// relaxed-fp included, into the JSON snapshot).
+/// One estimator trial (re-rank, then Kendall's tau against the original
+/// ranking) on growing synthetic scenarios (the interactive slice of the
+/// rows sweep; `emit_report` measures the full 10³→10⁶ grid, relaxed-fp
+/// included, into the JSON snapshot).
 fn tile_rows_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("monte_carlo/tile_rows_sweep");
     group.sample_size(10);
     for rows in [1_000usize, 10_000, 100_000] {
         let (table, config) = synth_scenario(rows);
         let scoring = config.scoring.clone();
+        let original_order = scoring.rank_table(&table).expect("ranking").order();
         for (scenario, data_noise, weight_noise) in
             [("noisy", 0.05, 0.05), ("weight-only", 0.0, 0.05)]
         {
@@ -289,6 +291,7 @@ fn tile_rows_sweep(c: &mut Criterion) {
                     kernel
                         .rank_trial(&mut rng, black_box(&mut scratch))
                         .expect("rank_trial");
+                    scratch.kendall_tau_against(&original_order)
                 });
             });
         }
@@ -450,13 +453,16 @@ fn emit_report(c: &mut Criterion) {
     }
 
     // The rows sweep: the blocked tile kernel, exact and relaxed-fp, on
-    // synthetic scenarios from 10³ to 10⁶ rows.  Two noise shapes per size:
-    // the default noisy trial (noise draws dominate as rows grow) and a
-    // weight-jitter-only trial (scoring + argsort dominate).
+    // synthetic scenarios from 10³ to 10⁶ rows.  A trial is what the
+    // estimator runs per trial: re-rank, then Kendall's tau against the
+    // original ranking.  Two noise shapes per size: the default noisy trial
+    // (noise draws dominate as rows grow) and a weight-jitter-only trial
+    // (scoring + argsort + tau).
     let mut rows_entries = Vec::new();
     for rows in [1_000usize, 10_000, 100_000, 1_000_000] {
         let (table, config) = synth_scenario(rows);
         let scoring = config.scoring.clone();
+        let original_order = scoring.rank_table(&table).expect("ranking").order();
         let trials = (2_000_000 / rows).clamp(2, 64);
         let rounds = if rows >= 1_000_000 { 7 } else { 15 };
         for (scenario, data_noise, weight_noise) in [
@@ -473,6 +479,7 @@ fn emit_report(c: &mut Criterion) {
                     kernel
                         .rank_trial(&mut trial_rng(42, trial), &mut scratch)
                         .expect("rank_trial");
+                    black_box(scratch.kendall_tau_against(&original_order));
                 }
             };
             let mut run_relaxed = || {
@@ -480,6 +487,7 @@ fn emit_report(c: &mut Criterion) {
                     relaxed
                         .rank_trial(&mut trial_rng(42, trial), &mut relaxed_scratch)
                         .expect("rank_trial");
+                    black_box(relaxed_scratch.kendall_tau_against(&original_order));
                 }
             };
             let medians = interleaved_medians_ns_per_trial(
@@ -510,7 +518,7 @@ fn emit_report(c: &mut Criterion) {
          \"materialized\": \"evaluate_materialized reference: perturbed Table per draw, unperturbed columns Arc-shared\",\n    \
          \"columnar\": \"TrialKernel hot path: flat column buffers, reusable scratch, no per-trial tables\"\n  }},\n  \
          \"scenarios\": [\n{}\n  ],\n  \"batch_sweep_rows_2000_trials_256\": [\n{}\n  ],\n  \
-         \"rows_sweep_schema_note\": \"each entry: one synthetic dense scenario (rf_datasets::SynthScenarioConfig, 4 score columns, min-max recipe) at the given row count; tiled is the blocked TILE-row kernel (stable radix argsort), tiled_relaxed_fp additionally reassociates float reductions (~1e-9 relative score drift, off by default); noise draws come from the ziggurat sampler\",\n  \
+         \"rows_sweep_schema_note\": \"each entry: one synthetic dense scenario (rf_datasets::SynthScenarioConfig, 4 score columns, min-max recipe) at the given row count; a trial is the kernel's re-rank plus Kendall's tau against the original ranking (blocked Fenwick inversion count); tiled is the blocked TILE-row kernel (stable radix argsort), tiled_relaxed_fp additionally reassociates float reductions (~1e-9 relative score drift, off by default); noise draws come from the ziggurat sampler\",\n  \
          \"rows_sweep\": [\n{}\n  ]\n}}\n",
         host_json(),
         scenario_entries.join(",\n"),

@@ -201,10 +201,10 @@ pub struct TrialScratch {
     order: Vec<usize>,
     /// 1-based rank per row index (the perturbed rank vector).
     rank_of: Vec<usize>,
-    /// Kendall-tau scratch: the induced rank sequence.
-    sequence: Vec<usize>,
-    /// Kendall-tau scratch: the merge-sort buffer.
-    merge: Vec<usize>,
+    /// Kendall-tau scratch: one occupancy bit per rank, 64 ranks per word.
+    masks: Vec<u64>,
+    /// Kendall-tau scratch: the Fenwick tree of seen ranks per mask word.
+    tree: Vec<usize>,
 }
 
 impl TrialScratch {
@@ -241,8 +241,8 @@ impl TrialScratch {
         crate::compare::kendall_tau_with_scratch(
             original_order,
             &self.rank_of,
-            &mut self.sequence,
-            &mut self.merge,
+            &mut self.masks,
+            &mut self.tree,
         )
     }
 }
