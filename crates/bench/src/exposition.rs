@@ -1,5 +1,5 @@
-//! Prometheus text-exposition validation for the load generator's CI smoke
-//! check.
+//! Prometheus text-exposition validation for the benchmark and the
+//! integration tests.
 //!
 //! The server's `GET /metrics` endpoint speaks the Prometheus text format
 //! (version 0.0.4).  This module parses a scrape into a series → value map,
@@ -8,8 +8,8 @@
 //! server for counter monotonicity: `_total` counters and histogram
 //! `_bucket`/`_sum`/`_count` samples must never decrease.  It also
 //! reconstructs per-stage latency summaries (count, mean, p50, p99) from the
-//! cumulative `rf_stage_duration_microseconds` histogram so the load
-//! generator can record the server's own view of where time went.
+//! cumulative `rf_stage_duration_microseconds` histogram so `perfbench` can
+//! record the server's own view of where time went.
 
 use std::collections::BTreeMap;
 

@@ -199,7 +199,9 @@ impl ServerOptions {
             };
             // The reactor/admission knobs reject zero outright instead of
             // clamping: `--reactors 0` or `--max-conns 0` is a typo'd
-            // deployment, not a server that refuses every byte.
+            // deployment, not a server that refuses every byte.  So is
+            // `--cache-ttl-secs 0`: every entry of both cache tiers would
+            // expire the moment it was written.
             let positive = |name: &str, value: u64| -> Result<u64, String> {
                 if value == 0 {
                     Err(format!("{name} must be at least 1"))
@@ -209,7 +211,10 @@ impl ServerOptions {
             };
             match arg.as_str() {
                 "--workers" => options.workers = (numeric("--workers")? as usize).max(1),
-                "--cache-ttl-secs" => options.cache_ttl_secs = Some(numeric("--cache-ttl-secs")?),
+                "--cache-ttl-secs" => {
+                    options.cache_ttl_secs =
+                        Some(positive("--cache-ttl-secs", numeric("--cache-ttl-secs")?)?);
+                }
                 "--cache-entries" => {
                     options.cache_entries = (numeric("--cache-entries")? as usize).max(1);
                 }
@@ -850,8 +855,10 @@ mod tests {
         assert!(ServerOptions::parse(["--cache-ttl-secs"]).is_err());
         assert!(ServerOptions::parse(["--workers", "many"]).is_err());
         assert!(ServerOptions::parse(["a:1", "b:2"]).is_err());
-        // The reactor/admission knobs reject zero instead of clamping.
+        // The cache TTL and the reactor/admission knobs reject zero instead
+        // of clamping.
         for zeroed in [
+            ["--cache-ttl-secs", "0"],
             ["--reactors", "0"],
             ["--max-conns", "0"],
             ["--idle-timeout-ms", "0"],

@@ -3,20 +3,29 @@
 //! request is served from it — zero context preparations, byte-identical
 //! bytes — then promoted so the second request is a plain memory hit.
 //!
+//! The same restart through the router: a fresh `AppState` over the warm
+//! directory answers `GET` label requests from disk while `/metrics` stays a
+//! valid, monotone exposition that carries the `rf_disk_*` families exactly
+//! when a disk tier is attached.
+//!
 //! The preparation counts are the restarted service's own.
 
+use rf_bench::exposition::{check_counters_monotonic, parse_metrics, MetricsSnapshot};
 use rf_core::{AnalysisPipeline, LabelConfig, LabelService};
 use rf_datasets::CsDepartmentsConfig;
 use rf_ranking::ScoringFunction;
+use rf_server::{route, AppState, DatasetCatalog, Request, StatusCode};
 use rf_store::DiskStore;
 use rf_table::Table;
 use std::sync::Arc;
 
+/// A per-test scratch directory, removed on drop.
 struct Scratch(std::path::PathBuf);
 
 impl Scratch {
-    fn new() -> Self {
-        let dir = std::env::temp_dir().join(format!("rf-disk-restart-{}", std::process::id()));
+    fn new(name: &str) -> Self {
+        let dir =
+            std::env::temp_dir().join(format!("rf-disk-restart-{name}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("scratch dir");
         Scratch(dir)
     }
@@ -48,7 +57,7 @@ fn disk_service(dir: &std::path::Path) -> LabelService {
 
 #[test]
 fn a_restarted_service_serves_its_first_request_from_the_disk_tier() {
-    let scratch = Scratch::new();
+    let scratch = Scratch::new("service");
     let (table, config) = scenario();
 
     // Life 1: one cold request, write-behind settled, then "kill" — dropping
@@ -120,5 +129,90 @@ fn a_restarted_service_serves_its_first_request_from_the_disk_tier() {
         service.stats().disk.unwrap().disk_hits,
         1,
         "the purged disk tier could not serve the regeneration"
+    );
+}
+
+const LABEL_PATH: &str = "/datasets/cs-departments/label.json?k=5";
+
+fn get(path: &str) -> Request {
+    Request::read_from(format!("GET {path} HTTP/1.1\r\n\r\n").as_bytes()).expect("request")
+}
+
+fn demo_state(labels: LabelService) -> AppState {
+    AppState::with_service(DatasetCatalog::with_demo_datasets(), labels)
+}
+
+/// Scrapes `/metrics`; every line must be valid Prometheus text.
+fn scrape_metrics(state: &AppState) -> MetricsSnapshot {
+    let response = route(state, &get("/metrics"));
+    assert_eq!(response.status, StatusCode::Ok);
+    parse_metrics(&response.body).expect("/metrics must be valid Prometheus text exposition")
+}
+
+fn has_disk_families(metrics: &MetricsSnapshot) -> bool {
+    metrics
+        .samples
+        .keys()
+        .any(|series| series.starts_with("rf_disk_"))
+}
+
+#[test]
+fn a_restarted_app_state_serves_disk_hits_under_a_monotone_exposition() {
+    let scratch = Scratch::new("app-state");
+
+    // Life 1: serve the label once, make the write-behind fill durable,
+    // then drop the state ("kill").
+    let cold = {
+        let state = demo_state(disk_service(&scratch.0));
+        let cold = route(&state, &get(LABEL_PATH));
+        assert_eq!(cold.status, StatusCode::Ok, "{}", cold.body);
+        state.labels.disk_store().unwrap().flush();
+        cold.body.to_string()
+    };
+
+    // Life 2: a fresh state over the same directory.  A burst of warm
+    // requests between two scrapes: each scrape parses, no cumulative
+    // series decreases, and the burst re-prepares nothing.
+    let state = demo_state(disk_service(&scratch.0));
+    let before = scrape_metrics(&state);
+    for _ in 0..10 {
+        let warm = route(&state, &get(LABEL_PATH));
+        assert_eq!(warm.status, StatusCode::Ok);
+        assert_eq!(
+            warm.body.as_str(),
+            cold,
+            "served verbatim across the restart"
+        );
+    }
+    let after = scrape_metrics(&state);
+    check_counters_monotonic(&before, &after)
+        .expect("cumulative /metrics series must never decrease across the restart burst");
+    assert!(
+        has_disk_families(&before) && has_disk_families(&after),
+        "a disk tier exposes the rf_disk_* families"
+    );
+
+    let stats = route(&state, &get("/stats"));
+    let stats: serde_json::Value = serde_json::from_str(&stats.body).expect("stats JSON");
+    assert!(
+        stats["disk"]["disk_hits"].as_u64().unwrap() >= 1,
+        "the restarted state's first request is a disk hit: {stats}"
+    );
+    assert_eq!(
+        stats["preparations"], 0,
+        "a disk-served restart must not re-run the pipeline: {stats}"
+    );
+
+    // A memory-only state exposes no rf_disk_* series, even after serving
+    // a label.
+    let memory_only = demo_state(LabelService::with_pipeline(
+        AnalysisPipeline::sequential(),
+        8,
+        1 << 22,
+    ));
+    assert_eq!(route(&memory_only, &get(LABEL_PATH)).status, StatusCode::Ok);
+    assert!(
+        !has_disk_families(&scrape_metrics(&memory_only)),
+        "a memory-only state exposes no rf_disk_* series"
     );
 }

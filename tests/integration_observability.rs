@@ -6,7 +6,7 @@
 //! zero — every request builds and publishes a full span trace) changes no
 //! label byte.  These tests drive a real TCP server in both configurations
 //! and compare served bodies byte for byte, then validate the `/metrics`
-//! exposition with the same checker the load generator runs in CI.
+//! exposition with the same checker `perfbench` runs on every scrape.
 
 use rf_bench::exposition::{check_counters_monotonic, check_slow_debug, parse_metrics};
 use rf_server::{DatasetCatalog, Server, ServerConfig};

@@ -10,10 +10,13 @@
 //!
 //! The second half drives the `LabelService` single-flight path end to end:
 //! a concurrent burst of identical cold requests must perform exactly one
-//! context preparation (counter-verified over `GET /stats`).  Every test
-//! starts its own server, and each server counts only its own work, so the
-//! tests run in parallel without sharing a counter.
+//! context preparation (counter-verified over `GET /stats`).  The two-shard
+//! test also checks each shard's `/metrics` series across its rounds with
+//! the exposition checker of `rf_bench`.  Every test starts its own server,
+//! and each server counts only its own work, so the tests run in parallel
+//! without sharing a counter.
 
+use rf_bench::exposition::{check_counters_monotonic, parse_metrics, MetricsSnapshot};
 use rf_server::{DatasetCatalog, Server, ServerConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -81,6 +84,14 @@ fn stats(addr: SocketAddr) -> serde_json::Value {
     let (head, body) = fetch(addr, "/stats");
     assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
     serde_json::from_str(&body).expect("stats JSON")
+}
+
+/// Scrapes `/metrics` over the wire; every line must be valid Prometheus
+/// text.
+fn scrape_metrics(addr: SocketAddr) -> MetricsSnapshot {
+    let (head, body) = fetch(addr, "/metrics");
+    assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
+    parse_metrics(&body).expect("/metrics must be valid Prometheus text exposition")
 }
 
 const LABEL_PATH: &str = "/datasets/cs-departments/label.json?k=5";
@@ -223,6 +234,8 @@ fn two_reactor_shards_serve_byte_identical_labels() {
         ..ServerConfig::default()
     });
 
+    let metrics_before = scrape_metrics(addr);
+
     // 64 simultaneously open keep-alive connections, kernel-balanced across
     // the shards, each serving several sequential label requests.
     let mut streams: Vec<TcpStream> = (0..64).map(|_| connect(addr)).collect();
@@ -258,6 +271,26 @@ fn two_reactor_shards_serve_byte_identical_labels() {
     assert!(totals["accepted"].as_u64().unwrap() >= 64, "{network}");
     assert!(totals["active"].as_u64().unwrap() <= totals["accepted"].as_u64().unwrap());
     assert_eq!(totals["shed_requests"].as_u64().unwrap(), 0, "{network}");
+
+    // The two-shard exposition parses, no cumulative series decreased
+    // across the rounds, and each shard's own parse-stage series counted
+    // the requests its connections carried.
+    let metrics_after = scrape_metrics(addr);
+    check_counters_monotonic(&metrics_before, &metrics_after)
+        .expect("cumulative /metrics series must never decrease across the rounds");
+    let parsed = |metrics: &MetricsSnapshot, shard: &str| {
+        let series =
+            format!("rf_stage_duration_microseconds_count{{stage=\"parse\",shard=\"{shard}\"}}");
+        metrics.samples.get(&series).copied()
+    };
+    for shard in ["0", "1"] {
+        let before = parsed(&metrics_before, shard).expect("parse series before the rounds");
+        let after = parsed(&metrics_after, shard).expect("parse series after the rounds");
+        assert!(
+            after > before,
+            "shard {shard}'s parse stage recorded nothing between the scrapes"
+        );
+    }
 
     drop(streams);
     shutdown.store(true, Ordering::Relaxed);
