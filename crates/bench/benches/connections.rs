@@ -24,10 +24,10 @@ impl BenchServer {
     fn start(workers: usize) -> Self {
         let config = ServerConfig {
             bind_address: "127.0.0.1:0".to_string(),
-            workers,
             ..ServerConfig::default()
         };
-        let server = Server::bind(DatasetCatalog::with_demo_datasets(), &config).expect("bind");
+        let server =
+            Server::bind(DatasetCatalog::with_demo_datasets(), workers, &config).expect("bind");
         let addr = server.local_addr().expect("addr");
         let shutdown = server.shutdown_handle();
         let handle = std::thread::spawn(move || server.run().expect("server run"));

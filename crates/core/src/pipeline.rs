@@ -675,12 +675,19 @@ impl AnalysisPipeline {
         self.metrics.preparations()
     }
 
+    /// The scheduler this pipeline fans out on: its dedicated pool's, or
+    /// the process-wide pool's when it has none.
+    #[must_use]
+    pub fn scheduler(&self) -> &Arc<rf_runtime::Scheduler> {
+        self.pool_ref().scheduler()
+    }
+
     /// Observability counters of the scheduler this pipeline fans out on
     /// (queue depth, steals, executed and panicked tasks) — surfaced by the
     /// HTTP `/stats` endpoint.
     #[must_use]
     pub fn scheduler_stats(&self) -> rf_runtime::SchedulerStats {
-        self.pool_ref().scheduler().stats()
+        self.scheduler().stats()
     }
 
     /// **Stage 1** — validates the configuration and computes the shared

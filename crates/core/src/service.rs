@@ -344,6 +344,13 @@ impl LabelService {
         self.pipeline.metrics()
     }
 
+    /// The scheduler this service's pipeline fans out on.  The server runs
+    /// its request jobs here too, so one pool bounds all label CPU.
+    #[must_use]
+    pub fn scheduler(&self) -> &Arc<rf_runtime::Scheduler> {
+        self.pipeline.scheduler()
+    }
+
     /// The table's content fingerprint, memoized by `Arc` identity.
     fn table_fingerprint(&self, table: &Arc<Table>) -> u64 {
         self.fingerprints

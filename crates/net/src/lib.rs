@@ -8,7 +8,7 @@
 //! workers:
 //!
 //! ```text
-//!  clients ──► accept ──► reactor thread (epoll) ──► rf_runtime::ThreadPool
+//!  clients ──► accept ──► reactor thread (epoll) ──► rf_runtime::Scheduler
 //!                           ▲      │  parse FSM            │ label generation
 //!                           │      └── Dispatch ───────────┘
 //!                           └──────── eventfd wake ◄── Completions

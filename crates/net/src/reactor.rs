@@ -97,7 +97,7 @@ impl Responder {
     }
 
     /// A clone of the reactor's waker — for belt-and-braces completion
-    /// notification (e.g. `rf_runtime::ThreadPool::execute_notify`), so the
+    /// notification (e.g. `rf_runtime::Scheduler::execute_notify`), so the
     /// reactor re-checks its completion queue after every job no matter how
     /// the job ended.
     #[must_use]

@@ -3,10 +3,11 @@
 //! The workspace policy is "no external dependencies" (crates.io is
 //! unreachable from the build environment), so instead of the `libc` crate
 //! this module declares the handful of C functions the reactor needs
-//! directly — they resolve against the libc that `std` already links.  This
-//! and `rf-runtime`'s worker-affinity module are the only modules in the
-//! workspace that contain `unsafe`; everything above it works with the safe
-//! [`Epoll`] and [`EventFd`] wrappers.
+//! directly — they resolve against the libc that `std` already links.  This,
+//! `rf-runtime`'s worker-affinity module and the vendored `rand_chacha`'s
+//! AVX2 block module are the only modules in the workspace that contain
+//! `unsafe`; everything above it works with the safe [`Epoll`] and
+//! [`EventFd`] wrappers.
 //!
 //! Linux-only by design (the reactor is the Linux deployment path; the
 //! blocking fallback server never left `rf-server`'s git history).

@@ -22,8 +22,10 @@
 //! The kernel consumes the trial's RNG in exactly the order the materialized
 //! path does (data noise per perturbed column in schema order, then one
 //! weight jitter per recipe attribute), draws the noise with the same
-//! ziggurat sampler (`crate::perturb::gaussian`, usually one `u64` and one
-//! table compare per value) and performs every floating-point
+//! ziggurat sampler (usually one `u64` and one table compare per value,
+//! a column at a time through `crate::perturb::fill_gaussian`, which
+//! returns exactly the per-value `gaussian` draws) and performs every
+//! floating-point
 //! operation in the same order with the same expressions — including the
 //! reference path's quirks (weight jitter resets the missing-value policy to
 //! its default; a ranking-size mismatch degrades Kendall tau to `0.0`).  The
@@ -61,7 +63,7 @@
 //! byte-identical to the materialized reference.
 
 use crate::error::{RankingError, RankingResult};
-use crate::perturb::gaussian;
+use crate::perturb::fill_gaussian;
 use crate::score::{MissingValuePolicy, ScoringFunction};
 use rand::Rng;
 use rf_table::{NormalizationMethod, Table, TableError};
@@ -528,24 +530,25 @@ impl TrialKernel {
                 .zip(scratch.perturbed.iter_mut())
                 .zip(scratch.col_stats.iter_mut())
             {
-                buffer.clear();
-                buffer.reserve(column.packed.len());
+                // The column's standard normals in one bulk pass, written
+                // where the perturbed values go and turned into them below.
+                buffer.resize(column.packed.len(), 0.0);
+                fill_gaussian(rng, buffer);
                 let mut min = f64::INFINITY;
                 let mut max = f64::NEG_INFINITY;
                 let mut sum = 0.0;
                 let mut all_finite = true;
-                // Tiled for locality; the Gaussian draws are inherently
-                // serial (one RNG stream) and the per-element accumulator
-                // order inside a tile is the reference order, so blocking
-                // changes no bits on either path.
-                for tile in column.packed.chunks(TILE) {
-                    for &base in tile {
-                        let value = base + gaussian(rng) * column.scale;
+                // Tiled for locality; the per-element accumulator order
+                // inside a tile is the reference order, so blocking changes
+                // no bits on either path.
+                for (tile, out) in column.packed.chunks(TILE).zip(buffer.chunks_mut(TILE)) {
+                    for (&base, slot) in tile.iter().zip(out) {
+                        let value = base + *slot * column.scale;
                         min = min.min(value);
                         max = max.max(value);
                         sum += value;
                         all_finite &= value.is_finite();
-                        buffer.push(value);
+                        *slot = value;
                     }
                 }
                 *stats = ColumnTrialStats {

@@ -11,8 +11,8 @@
 //! Placement is round-robin over the CPUs the process may run on, read once
 //! on first use.  Each scheduler takes a contiguous block of slots, so the
 //! workers of one pool sit on distinct CPUs whenever the pool is no larger
-//! than the CPU set, and consecutive pools (the server's dispatch pool and
-//! label pool) each cover the set.  The sequence starts at an offset taken
+//! than the CPU set, and consecutive pools (a server's label scheduler and
+//! a second server's in the same process) each cover the set.  The sequence starts at an offset taken
 //! from the process id, so several small-pooled processes on one large host
 //! do not all crowd its first CPUs.  Under `taskset -c 0` the set is one CPU
 //! and every worker runs there, exactly as unpinned.

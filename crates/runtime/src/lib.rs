@@ -7,20 +7,26 @@
 //!
 //! The property the rest of the workspace builds on is the blocking
 //! [`Scheduler::scope`]: a task may spawn subtasks and wait for them, and the
-//! waiting thread **helps** — it runs queued tasks (its own, stolen, or
+//! waiting thread **helps** — it runs queued scope tasks (its own, stolen, or
 //! injected) instead of parking — so nested fan-outs can never deadlock the
 //! pool they run on, even with a single worker.  That is what lets the label
 //! pipeline fan widgets out across the pool while one of those widgets (the
 //! Monte-Carlo stability detail) fans out again, one task per trial.
+//! Top-level jobs ([`Scheduler::spawn_detached`],
+//! [`Scheduler::execute_notify`]) wait in a queue of their own that only
+//! idle workers take from: a helping waiter never starts one, so a request
+//! job never runs nested inside another — where it could block on work
+//! lower on its own stack.
 //!
 //! * `rf-core`'s `AnalysisPipeline` shards preparation and fans the label
 //!   widgets out over nested scopes;
 //! * `rf-stability` runs one task per Monte-Carlo trial inside a widget job;
-//! * `rf-server` dispatches parsed requests via [`ThreadPool::execute_notify`].
+//! * `rf-server` dispatches parsed requests onto the same scheduler via
+//!   [`Scheduler::execute_notify`], whose notify-even-on-panic guarantee
+//!   rf-net's completion hook depends on — one pool per server, so request
+//!   jobs, widget jobs and trial batches share its workers.
 //!
-//! [`ThreadPool`] is a thin owner of a scheduler: it exposes the scheduler
-//! and adds `execute_notify`, whose notify-even-on-panic guarantee rf-net's
-//! completion hook depends on.
+//! [`ThreadPool`] is a thin owner of a scheduler, shared by `Arc`.
 //!
 //! Each worker runs pinned to one CPU, the workers of a pool on distinct
 //! CPUs where there are enough (see the `affinity` module): the kernel's
@@ -47,13 +53,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// Callback invoked with a task's measured queue wait (push → first poll).
-/// See [`Scheduler::set_queue_wait_observer`].
-pub type QueueWaitObserver = Arc<dyn Fn(Duration) + Send + Sync>;
 
 std::thread_local! {
     /// `(address of the scheduler's shared state, worker index + 1)` when the
@@ -74,7 +76,10 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// State shared between the scheduler handle, its workers, and in-flight
 /// scopes.
 struct Shared {
-    /// Queue for tasks pushed from non-worker threads.
+    /// Top-level jobs, oldest first.  Only idle workers take these; a
+    /// waiter helping its scope never does.
+    jobs: Mutex<VecDeque<Job>>,
+    /// Queue for scope tasks pushed from non-worker threads.
     injector: Mutex<VecDeque<Job>>,
     /// One deque per worker: the owner pushes and pops at the back (LIFO, so
     /// a scope's freshly spawned subtasks run first), thieves steal from the
@@ -84,16 +89,12 @@ struct Shared {
     /// worker that checked `queued` under the lock cannot miss the wakeup.
     sleep: Mutex<()>,
     wake: Condvar,
-    /// Tasks currently queued (injector + all deques).
+    /// Tasks currently queued (top-level jobs, injector and all deques).
     queued: AtomicUsize,
     shutdown: AtomicBool,
     panicked: AtomicUsize,
     steals: AtomicU64,
     executed: AtomicU64,
-    /// Optional queue-wait observer (set at most once).  When installed,
-    /// every pushed task is wrapped to report its enqueue→first-poll latency
-    /// — the *measured* queue wait the admission controller's EWMA predicts.
-    queue_wait_observer: OnceLock<QueueWaitObserver>,
 }
 
 impl Shared {
@@ -107,31 +108,31 @@ impl Shared {
         }
     }
 
-    /// Queues a task: onto the local deque when called from a worker of this
-    /// scheduler, onto the injector otherwise.
+    /// Queues a scope task: onto the local deque when called from a worker
+    /// of this scheduler, onto the injector otherwise.
     fn push(&self, job: Job) {
-        let job = match self.queue_wait_observer.get() {
-            Some(observer) => {
-                let observer = Arc::clone(observer);
-                let enqueued = Instant::now();
-                Box::new(move || {
-                    observer(enqueued.elapsed());
-                    job();
-                })
-            }
-            None => job,
-        };
-        // Publish the count *before* the job becomes poppable: `find_job`
-        // only decrements after actually taking a job, and a job can only be
-        // taken after the push below — so `queued` (served raw by the
+        self.enqueue(|| match self.current_worker() {
+            Some(index) => lock(&self.deques[index]).push_back(job),
+            None => lock(&self.injector).push_back(job),
+        });
+    }
+
+    /// Queues a top-level job.
+    fn push_top_level(&self, job: Job) {
+        self.enqueue(|| lock(&self.jobs).push_back(job));
+    }
+
+    /// Counts a task in, runs `insert` to make it poppable, and wakes a
+    /// worker.
+    fn enqueue(&self, insert: impl FnOnce()) {
+        // Publish the count *before* the job becomes poppable: the finders
+        // only decrement after actually taking a job, and a job can only be
+        // taken after the insert below — so `queued` (served raw by the
         // /stats endpoint) can never transiently underflow.  A thread that
         // reads the incremented count a moment early just re-polls until
         // the push lands.
         self.queued.fetch_add(1, Ordering::SeqCst);
-        match self.current_worker() {
-            Some(index) => lock(&self.deques[index]).push_back(job),
-            None => lock(&self.injector).push_back(job),
-        }
+        insert();
         // Acquire-release the sleep lock between publishing `queued` and
         // notifying: a worker that saw `queued == 0` under this lock is
         // already waiting and receives the notification; one that has not
@@ -140,34 +141,52 @@ impl Shared {
         self.wake.notify_one();
     }
 
-    /// Takes one runnable task: own deque first (back), then the injector,
-    /// then steals from sibling deques (front).
+    /// Takes one runnable scope task: own deque first (back), then the
+    /// injector, then steals from sibling deques (front).
     fn find_job(&self) -> Option<Job> {
         let me = self.current_worker();
-        if let Some(index) = me {
-            if let Some(job) = lock(&self.deques[index]).pop_back() {
-                self.queued.fetch_sub(1, Ordering::SeqCst);
-                return Some(job);
-            }
-        }
-        if let Some(job) = lock(&self.injector).pop_front() {
-            self.queued.fetch_sub(1, Ordering::SeqCst);
-            return Some(job);
-        }
+        self.take_local(me).or_else(|| self.steal(me))
+    }
+
+    /// What an idle worker takes: its own or injected scope tasks, then the
+    /// oldest top-level job, and only then a sibling's scope task.  Taking a
+    /// new request before stealing keeps a short request from waiting out a
+    /// long label's whole fan-out.
+    fn find_any(&self) -> Option<Job> {
+        let me = self.current_worker();
+        self.take_local(me)
+            .or_else(|| self.take(&self.jobs, VecDeque::pop_front))
+            .or_else(|| self.steal(me))
+    }
+
+    /// A task from `me`'s own deque (newest first), else from the injector
+    /// (oldest first).
+    fn take_local(&self, me: Option<usize>) -> Option<Job> {
+        me.and_then(|index| self.take(&self.deques[index], VecDeque::pop_back))
+            .or_else(|| self.take(&self.injector, VecDeque::pop_front))
+    }
+
+    /// The oldest task of a sibling's deque, counted as a steal.
+    fn steal(&self, me: Option<usize>) -> Option<Job> {
         let workers = self.deques.len();
         let start = me.map_or(0, |index| index + 1);
-        for offset in 0..workers {
-            let victim = (start + offset) % workers;
-            if Some(victim) == me {
-                continue;
-            }
-            if let Some(job) = lock(&self.deques[victim]).pop_front() {
-                self.queued.fetch_sub(1, Ordering::SeqCst);
-                self.steals.fetch_add(1, Ordering::Relaxed);
-                return Some(job);
-            }
-        }
-        None
+        let job = (0..workers)
+            .map(|offset| (start + offset) % workers)
+            .filter(|&victim| Some(victim) != me)
+            .find_map(|victim| self.take(&self.deques[victim], VecDeque::pop_front))?;
+        self.steals.fetch_add(1, Ordering::Relaxed);
+        Some(job)
+    }
+
+    /// Pops one task from `queue`, keeping `queued` in step.
+    fn take(
+        &self,
+        queue: &Mutex<VecDeque<Job>>,
+        pop: fn(&mut VecDeque<Job>) -> Option<Job>,
+    ) -> Option<Job> {
+        let job = pop(&mut lock(queue))?;
+        self.queued.fetch_sub(1, Ordering::SeqCst);
+        Some(job)
     }
 
     /// Runs a task, counting it and containing its panic.
@@ -190,7 +209,7 @@ fn worker_loop(shared: &Arc<Shared>, index: usize, cpu: Option<usize>) {
     }
     WORKER.with(|cell| cell.set((Arc::as_ptr(shared) as usize, index + 1)));
     loop {
-        if let Some(job) = shared.find_job() {
+        if let Some(job) = shared.find_any() {
             shared.run(job);
             continue;
         }
@@ -215,7 +234,8 @@ fn worker_loop(shared: &Arc<Shared>, index: usize, cpu: Option<usize>) {
 pub struct SchedulerStats {
     /// Number of worker threads.
     pub workers: usize,
-    /// Tasks currently queued (injector plus all worker deques).
+    /// Tasks currently queued (top-level jobs, injector and all worker
+    /// deques).
     pub queue_depth: usize,
     /// Tasks a worker (or a helping waiter) took from another worker's deque.
     pub steals: u64,
@@ -300,6 +320,7 @@ impl Scheduler {
     pub fn new(size: usize) -> Self {
         let size = size.max(1);
         let shared = Arc::new(Shared {
+            jobs: Mutex::new(VecDeque::new()),
             injector: Mutex::new(VecDeque::new()),
             deques: (0..size).map(|_| Mutex::new(VecDeque::new())).collect(),
             sleep: Mutex::new(()),
@@ -309,7 +330,6 @@ impl Scheduler {
             panicked: AtomicUsize::new(0),
             steals: AtomicU64::new(0),
             executed: AtomicU64::new(0),
-            queue_wait_observer: OnceLock::new(),
         });
         let workers = affinity::reserve(size)
             .into_iter()
@@ -350,14 +370,6 @@ impl Scheduler {
         self.shared.executed.load(Ordering::Relaxed)
     }
 
-    /// Number of tasks currently queued (injector plus all worker deques).
-    /// A single atomic load — cheap enough for per-request admission-control
-    /// decisions on the reactor threads.
-    #[must_use]
-    pub fn queued(&self) -> usize {
-        self.shared.queued.load(Ordering::SeqCst)
-    }
-
     /// A snapshot of the observability counters.
     #[must_use]
     pub fn stats(&self) -> SchedulerStats {
@@ -370,28 +382,53 @@ impl Scheduler {
         }
     }
 
-    /// Installs an observer that receives every task's measured queue wait —
-    /// the span from [`Shared::push`] to the moment a worker (or a helping
-    /// waiter) first polls the task.  Install-once: later calls are ignored,
-    /// returning `false`.  Tasks pushed before installation are unobserved.
-    pub fn set_queue_wait_observer(&self, observer: QueueWaitObserver) -> bool {
-        self.shared.queue_wait_observer.set(observer).is_ok()
-    }
-
-    /// Queues a fire-and-forget task.
+    /// Queues a fire-and-forget top-level job.  An idle worker runs it once
+    /// its own deque and the injector are empty, before stealing; a waiter
+    /// helping its scope never does.
     pub fn spawn_detached<F>(&self, job: F)
     where
         F: FnOnce() + Send + 'static,
     {
-        self.shared.push(Box::new(job));
+        self.shared.push_top_level(Box::new(job));
+    }
+
+    /// Queues a job and guarantees `notify` runs after it finishes — even
+    /// when the job panics.  Everything the job captured is dropped before
+    /// `notify` runs.
+    ///
+    /// This is the completion hook event-driven callers build on: the
+    /// `rf-server` reactor dispatches each request here with a notifier
+    /// that signals its wake eventfd, so a finished (or crashed) job always
+    /// pulls the reactor out of `epoll_wait` to collect the result.  Without
+    /// the panic guarantee, a crashing handler would leave the reactor
+    /// asleep and its connection stranded.
+    pub fn execute_notify<F, N>(&self, job: F, notify: N)
+    where
+        F: FnOnce() + Send + 'static,
+        N: FnOnce() + Send + 'static,
+    {
+        struct NotifyOnDrop<N: FnOnce()>(Option<N>);
+        impl<N: FnOnce()> Drop for NotifyOnDrop<N> {
+            fn drop(&mut self) {
+                if let Some(notify) = self.0.take() {
+                    notify();
+                }
+            }
+        }
+        let guard = NotifyOnDrop(Some(notify));
+        self.spawn_detached(move || {
+            // Dropped when the closure ends — normally or by unwinding.
+            let _guard = guard;
+            job();
+        });
     }
 
     /// Runs `f` with a [`Scope`] handle and blocks until every task spawned
     /// into the scope has finished.
     ///
-    /// While blocked, the calling thread **helps**: it runs queued tasks (its
-    /// own deque when it is a worker, stolen or injected tasks otherwise)
-    /// instead of parking.  That is the property that makes nested scopes
+    /// While blocked, the calling thread **helps**: it runs queued scope
+    /// tasks (its own deque when it is a worker, stolen or injected tasks
+    /// otherwise) instead of parking.  It never starts a top-level job.  That is the property that makes nested scopes
     /// deadlock-free at any worker count — a scope inside a scope on a
     /// one-worker scheduler simply executes its subtasks inline, in between
     /// polls of its completion latch.
@@ -504,9 +541,15 @@ impl Drop for Scheduler {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         drop(lock(&self.shared.sleep));
         self.shared.wake.notify_all();
-        // Workers drain every queued task before exiting.
+        // Workers drain every queued task before exiting.  When the last
+        // reference goes away inside a job, this runs on one of the workers:
+        // that thread cannot join itself, and it leaves its loop on shutdown
+        // like the others once the job returns.
+        let current = std::thread::current().id();
         for worker in self.workers.drain(..) {
-            let _ = worker.join();
+            if worker.thread().id() != current {
+                let _ = worker.join();
+            }
         }
     }
 }
@@ -514,10 +557,8 @@ impl Drop for Scheduler {
 /// A fixed-size pool of worker threads executing queued jobs.
 ///
 /// A thin owner of a [`Scheduler`]: callers reach the scheduler — and its
-/// `scope` / `run_all` / `map_shards` API — through
-/// [`ThreadPool::scheduler`].  The pool itself adds only
-/// [`execute_notify`](ThreadPool::execute_notify), the completion hook the
-/// server's reactor depends on.
+/// `scope` / `run_all` / `map_shards` / `execute_notify` API — through
+/// [`ThreadPool::scheduler`].
 #[derive(Debug)]
 pub struct ThreadPool {
     scheduler: Arc<Scheduler>,
@@ -542,36 +583,6 @@ impl ThreadPool {
     #[must_use]
     pub fn size(&self) -> usize {
         self.scheduler.size()
-    }
-
-    /// Queues a job and guarantees `notify` runs after it finishes — even
-    /// when the job panics.
-    ///
-    /// This is the completion hook event-driven callers build on: the
-    /// `rf-server` reactor dispatches label generation here with a notifier
-    /// that signals its wake eventfd, so a finished (or crashed) job always
-    /// pulls the reactor out of `epoll_wait` to collect the result.  Without
-    /// the panic guarantee, a crashing handler would leave the reactor
-    /// asleep and its connection stranded.
-    pub fn execute_notify<F, N>(&self, job: F, notify: N)
-    where
-        F: FnOnce() + Send + 'static,
-        N: FnOnce() + Send + 'static,
-    {
-        struct NotifyOnDrop<N: FnOnce()>(Option<N>);
-        impl<N: FnOnce()> Drop for NotifyOnDrop<N> {
-            fn drop(&mut self) {
-                if let Some(notify) = self.0.take() {
-                    notify();
-                }
-            }
-        }
-        let guard = NotifyOnDrop(Some(notify));
-        self.scheduler.spawn_detached(move || {
-            // Dropped when the closure ends — normally or by unwinding.
-            let _guard = guard;
-            job();
-        });
     }
 }
 
@@ -716,11 +727,11 @@ mod tests {
         drop(sender);
         // Both workers are parked at the gate, so nothing can drain the
         // backlog yet: all 8 jobs are visibly queued.
-        assert_eq!(scheduler.queued(), 8, "backlog visible");
+        assert_eq!(scheduler.stats().queue_depth, 8, "backlog visible");
         gate.wait();
         assert_eq!(receiver.iter().count(), 8);
         // Every queued job was taken; the gauge returns to zero.
-        while scheduler.queued() > 0 {
+        while scheduler.stats().queue_depth > 0 {
             std::thread::yield_now();
         }
         assert_eq!(scheduler.stats().queue_depth, 0);
@@ -728,7 +739,7 @@ mod tests {
 
     #[test]
     fn execute_notify_signals_after_completion_and_after_panic() {
-        let pool = ThreadPool::new(2);
+        let scheduler = Scheduler::new(2);
         let (sender, receiver) = channel();
 
         // Normal completion: the job's effect is visible before the notify.
@@ -736,7 +747,7 @@ mod tests {
         let job_counter = Arc::clone(&counter);
         let notify_counter = Arc::clone(&counter);
         let notify_sender = sender.clone();
-        pool.execute_notify(
+        scheduler.execute_notify(
             move || {
                 job_counter.fetch_add(1, Ordering::SeqCst);
             },
@@ -750,7 +761,7 @@ mod tests {
 
         // A panicking job still notifies (the reactor must always wake).
         let panic_sender = sender.clone();
-        pool.execute_notify(
+        scheduler.execute_notify(
             || panic!("boom"),
             move || {
                 panic_sender.send(42).unwrap();
@@ -759,7 +770,7 @@ mod tests {
         assert_eq!(receiver.recv().unwrap(), 42, "notify survives a panic");
         drop(sender);
         // The pool is still healthy afterwards.
-        let outputs = pool.scheduler().run_all(vec![|| 7usize]);
+        let outputs = scheduler.run_all(vec![|| 7usize]);
         assert_eq!(outputs[0], Some(7));
     }
 
@@ -1055,26 +1066,65 @@ mod tests {
     }
 
     #[test]
-    fn queue_wait_observer_sees_every_task() {
-        let scheduler = Scheduler::new(2);
-        let observed = Arc::new(AtomicUsize::new(0));
-        let sink = Arc::clone(&observed);
-        assert!(scheduler.set_queue_wait_observer(Arc::new(move |_wait| {
-            sink.fetch_add(1, Ordering::SeqCst);
-        })));
-        // Install-once: a second observer is rejected.
-        assert!(!scheduler.set_queue_wait_observer(Arc::new(|_| {})));
-        let jobs: Vec<_> = (0..16).map(|i| move || i * 2).collect();
-        let outputs = scheduler.run_all(jobs);
-        assert_eq!(outputs.len(), 16);
-        // run_all blocks until every task finished, and the observer fires
-        // before the task body runs.
-        assert_eq!(observed.load(Ordering::SeqCst), 16);
-        scheduler.spawn_detached(|| {});
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while observed.load(Ordering::SeqCst) < 17 {
-            assert!(Instant::now() < deadline, "detached task never observed");
-            std::thread::yield_now();
-        }
+    fn scope_waiters_never_start_top_level_jobs() {
+        // The only worker is held by a top-level job; a second one queues
+        // behind it.  An external thread's scope must finish by running its
+        // own task, without starting the queued job.
+        let scheduler = Arc::new(Scheduler::new(1));
+        let (release, hold) = channel::<()>();
+        let (started, worker_busy) = channel();
+        scheduler.spawn_detached(move || {
+            started.send(()).unwrap();
+            hold.recv().unwrap();
+        });
+        worker_busy.recv().unwrap();
+        let queued_ran = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&queued_ran);
+        let (done, queued_done) = channel();
+        scheduler.spawn_detached(move || {
+            flag.store(true, Ordering::SeqCst);
+            done.send(()).unwrap();
+        });
+        let scoped = Arc::new(AtomicU64::new(0));
+        let counter = Arc::clone(&scoped);
+        scheduler.scope(|scope| {
+            scope.spawn(move || {
+                counter.fetch_add(1, Ordering::SeqCst);
+            });
+        });
+        assert_eq!(scoped.load(Ordering::SeqCst), 1);
+        assert!(
+            !queued_ran.load(Ordering::SeqCst),
+            "a helping waiter started a top-level job"
+        );
+        release.send(()).unwrap();
+        queued_done
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the queued job runs once the worker is free");
+    }
+
+    #[test]
+    fn dropping_the_last_reference_on_a_worker_skips_joining_itself() {
+        // A job that holds the last reference drops the scheduler on one of
+        // the scheduler's own workers: the drop must not try to join the
+        // calling thread, and the other workers still shut down.
+        let scheduler = Arc::new(Scheduler::new(2));
+        let held = Arc::clone(&scheduler);
+        let (go, wait) = channel::<()>();
+        let (sender, receiver) = channel();
+        scheduler.spawn_detached(move || {
+            wait.recv().unwrap();
+            let outcome = catch_unwind(AssertUnwindSafe(move || drop(held)));
+            sender.send(outcome.is_ok()).unwrap();
+        });
+        drop(scheduler);
+        go.send(()).unwrap();
+        let dropped_cleanly = receiver
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the dropping job finished");
+        assert!(
+            dropped_cleanly,
+            "dropping the scheduler on its worker panicked"
+        );
     }
 }

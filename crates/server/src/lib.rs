@@ -10,11 +10,13 @@
 //! goal.  Socket I/O is **event-driven**: all connections live on an
 //! `rf-net` epoll reactor (accept loop, incremental request parsing,
 //! buffered keep-alive response streaming), and only complete requests are
-//! dispatched onto the [`rf_runtime::ThreadPool`] — so idle connections pin
-//! zero workers and the pool is sized to the CPU work, not the client count.
+//! dispatched onto the label service's [`rf_runtime::Scheduler`] — the one
+//! pool that also runs each label's widget jobs and Monte-Carlo trials — so
+//! idle connections pin zero workers and the pool is sized to the CPU work,
+//! not the client count.
 //!
 //! Label requests route through `rf-core`'s `LabelService`: the
-//! content-addressed LRU label cache (shared by every pool worker via
+//! content-addressed LRU label cache (shared by every worker via
 //! [`AppState`]) answers warm hits with the pre-rendered JSON — streamed
 //! `Arc`-shared, no per-connection copy — concurrent cold misses for one
 //! key coalesce onto a single generation, and dataset uploads into the

@@ -57,7 +57,7 @@ fn main() {
             "Ranking Facts is listening on http://{addr}/ \
              ({} reactor shard(s), {} label workers)",
             config.reactors.max(1),
-            config.workers
+            options.workers
         ),
         Err(err) => eprintln!("cannot determine local address: {err}"),
     }

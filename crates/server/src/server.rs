@@ -1,16 +1,18 @@
-//! The event-driven server: an `rf-net` reactor in front of the
-//! `rf-runtime` worker pool.
+//! The event-driven server: an `rf-net` reactor in front of the label
+//! service's `rf-runtime` scheduler.
 //!
 //! All socket I/O — accepting, incremental request parsing, buffered
-//! response streaming — happens on the reactor thread; the pool only ever
-//! sees complete requests, so its workers are busy exactly when label CPU
-//! work exists.  Thousands of idle keep-alive connections cost one epoll
-//! registration each, not a worker:
+//! response streaming — happens on the reactor thread; the scheduler only
+//! ever sees complete requests, so its workers are busy exactly when label
+//! CPU work exists.  Thousands of idle keep-alive connections cost one epoll
+//! registration each, not a worker.  One scheduler runs everything: the
+//! request jobs, the widget jobs they fan out, and the Monte-Carlo trial
+//! batches, so the server runs `--workers` pinned threads in all:
 //!
 //! ```text
-//! accept ─► reactor (epoll) ─► ThreadPool::execute_notify ─► route()
-//!              ▲                                               │
-//!              └────── eventfd wake ◄── Responder::send ◄──────┘
+//! accept ─► reactor (epoll) ─► Scheduler::execute_notify ─► route()
+//!              ▲                                                │
+//!              └────── eventfd wake ◄── Responder::send ◄───────┘
 //! ```
 
 use crate::catalog::DatasetCatalog;
@@ -18,10 +20,10 @@ use crate::http::{Request, Response, StatusCode};
 use crate::router::{route, AppState};
 use rf_core::ServiceMetrics;
 use rf_net::{Dispatch, ParsedRequest, Reactor, ReactorConfig, Responder};
-use rf_runtime::ThreadPool;
+use rf_runtime::Scheduler;
 use std::net::{TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Default per-reactor connection cap (the PR-3 hard-coded value, now a
@@ -50,10 +52,6 @@ pub struct ServerConfig {
     /// Address to bind, e.g. `127.0.0.1:8080`.  Use port 0 to let the OS pick
     /// a free port (handy for tests).
     pub bind_address: String,
-    /// Number of worker threads generating labels.  Connections are handled
-    /// by the reactor and are **not** bounded by this — a 2-worker server
-    /// happily holds hundreds of open keep-alive connections.
-    pub workers: usize,
     /// Number of reactor shards.  `1` (the default) binds one ordinary
     /// listener and runs the event loop on the calling thread — today's
     /// topology, bit for bit.  `N > 1` binds N `SO_REUSEPORT` listeners on
@@ -87,7 +85,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             bind_address: "127.0.0.1:8080".to_string(),
-            workers: 4,
             reactors: 1,
             max_connections: DEFAULT_MAX_CONNECTIONS,
             idle_timeout_ms: DEFAULT_IDLE_TIMEOUT_MS,
@@ -108,10 +105,11 @@ impl Default for ServerConfig {
 pub struct ServerOptions {
     /// Address to bind (first positional argument; default `127.0.0.1:8080`).
     pub bind_address: String,
-    /// Label-generation workers (`--workers N`; default 4): sizes both the
-    /// request-dispatch pool and the label pipeline's own scheduler (the
-    /// one `/stats` reports), so the flag genuinely bounds label CPU
-    /// instead of leaving the pipeline on the process-global pool.
+    /// Label-generation workers (`--workers N`; default 4): sizes the label
+    /// service's scheduler (the one `/stats` reports), which runs the
+    /// server's request jobs as well as the pipeline's widget jobs and
+    /// Monte-Carlo trials — one pool, so the flag bounds the server's label
+    /// CPU and its worker threads.
     pub workers: usize,
     /// Per-entry label-cache TTL in seconds (`--cache-ttl-secs N`; default
     /// none — entries never expire by age).
@@ -289,7 +287,6 @@ impl ServerOptions {
     pub fn server_config(&self) -> ServerConfig {
         ServerConfig {
             bind_address: self.bind_address.clone(),
-            workers: self.workers,
             reactors: self.reactors,
             max_connections: self.max_conns,
             idle_timeout_ms: self.idle_timeout_ms,
@@ -301,7 +298,8 @@ impl ServerOptions {
     }
 
     /// Builds the label service these options describe: the parallel
-    /// pipeline on a dedicated `workers`-sized scheduler, behind a cache
+    /// pipeline on a dedicated `workers`-sized scheduler (which the server
+    /// dispatches its requests onto as well), behind a cache
     /// bounded by `cache_entries` / `cache_bytes` whose entries expire
     /// after `cache_ttl_secs` (when set), with the crash-safe on-disk tier
     /// under it when `--cache-dir` names a directory.
@@ -335,14 +333,20 @@ impl ServerOptions {
     }
 }
 
-/// Admission-control state shared by every reactor shard: a gauge of
-/// dispatched-but-unanswered requests and an EWMA of service time, both
-/// readable with single atomic loads on the reactor threads.
+/// Admission-control state shared by every reactor shard: gauges of
+/// dispatched-but-unanswered and dispatched-but-unstarted requests and an
+/// EWMA of service time, all readable with single atomic loads on the
+/// reactor threads.
 struct Admission {
     /// Shed when this many requests are already dispatched and unanswered.
     max_pending: usize,
-    /// Requests dispatched to the pool whose response has not been sent.
+    /// Requests dispatched to the scheduler whose response has not been
+    /// sent.
     pending: AtomicUsize,
+    /// Requests dispatched to the scheduler whose job has not started: the
+    /// backlog a new request queues behind.  The scheduler's own queue depth
+    /// would also count the widget and trial tasks of labels in progress.
+    waiting: AtomicUsize,
     /// Exponentially weighted moving average of request service time, in
     /// microseconds (α = 1/8).  Zero until the first request completes.
     avg_service_micros: AtomicU64,
@@ -359,6 +363,7 @@ impl Admission {
         Admission {
             max_pending: max_pending.max(1),
             pending: AtomicUsize::new(0),
+            waiting: AtomicUsize::new(0),
             avg_service_micros: AtomicU64::new(0),
             measured,
         }
@@ -413,7 +418,7 @@ impl Admission {
     }
 
     /// The queue wait a newly dispatched request would predictably incur,
-    /// given the scheduler backlog: `queued × service_estimate / workers`.
+    /// given the request backlog: `queued × service_estimate / workers`.
     fn predicted_wait_micros(&self, queued: usize, workers: usize) -> u64 {
         let avg = self.service_estimate_micros();
         (queued as u64).saturating_mul(avg) / workers.max(1) as u64
@@ -457,32 +462,56 @@ fn deadline_ms_of(target: &str) -> Option<u64> {
         .and_then(|value| value.parse().ok())
 }
 
+/// Counts dispatched jobs that have not finished, so [`Server::run`] can
+/// wait for the last one: the scheduler belongs to the label service and
+/// outlives the server's run.
+#[derive(Default)]
+struct InFlight {
+    jobs: Mutex<usize>,
+    idle: Condvar,
+}
+
+impl InFlight {
+    fn start(&self) {
+        *self.jobs.lock().unwrap_or_else(PoisonError::into_inner) += 1;
+    }
+
+    fn finish(&self) {
+        let mut jobs = self.jobs.lock().unwrap_or_else(PoisonError::into_inner);
+        *jobs -= 1;
+        if *jobs == 0 {
+            self.idle.notify_all();
+        }
+    }
+
+    fn wait_idle(&self) {
+        let mut jobs = self.jobs.lock().unwrap_or_else(PoisonError::into_inner);
+        while *jobs > 0 {
+            jobs = self.idle.wait(jobs).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
 /// The reactor-side request hook: converts parsed requests, schedules the
-/// CPU work on the pool, and streams the response back through the
-/// completion queue.  Shared by every reactor shard, so the admission gauge
-/// and the worker pool see the server's whole load.
+/// CPU work on the label service's scheduler, and streams the response back
+/// through the completion queue.  Shared by every reactor shard, so the
+/// admission gauges see the server's whole load.
 struct LabelDispatch {
     state: Arc<AppState>,
-    pool: ThreadPool,
+    scheduler: Arc<Scheduler>,
     admission: Arc<Admission>,
+    in_flight: Arc<InFlight>,
 }
 
 impl LabelDispatch {
-    fn new(state: Arc<AppState>, workers: usize, max_pending: usize) -> Self {
-        let pool = ThreadPool::new(workers);
+    fn new(state: Arc<AppState>, max_pending: usize) -> Self {
+        let scheduler = Arc::clone(state.labels.scheduler());
         let metrics = Arc::clone(state.labels.metrics());
-        // Enqueue→first-poll of every dispatched job, measured inside the
-        // runtime — the *true* queue wait the admission EWMA predicts.
-        let observed = Arc::clone(&metrics);
-        let _ = pool
-            .scheduler()
-            .set_queue_wait_observer(Arc::new(move |waited| {
-                observed.stages().record(rf_obs::Stage::QueueWait, waited);
-            }));
         LabelDispatch {
             state,
-            pool,
+            scheduler,
             admission: Arc::new(Admission::new(max_pending, metrics)),
+            in_flight: Arc::default(),
         }
     }
 
@@ -492,8 +521,8 @@ impl LabelDispatch {
     /// wait has already spent.
     fn admit(&self, target: &str) -> Result<PendingGuard, (rf_obs::ShedReason, u64)> {
         let pending = self.admission.pending.load(Ordering::Acquire);
-        let queued = self.pool.scheduler().queued();
-        let workers = self.pool.size();
+        let queued = self.admission.waiting.load(Ordering::Acquire);
+        let workers = self.scheduler.size();
         if pending >= self.admission.max_pending {
             return Err((
                 rf_obs::ShedReason::MaxPending,
@@ -539,17 +568,28 @@ impl Dispatch for LabelDispatch {
         let state = Arc::clone(&self.state);
         let admission = Arc::clone(&self.admission);
         let waker = responder.waker();
+        let in_flight = Arc::clone(&self.in_flight);
+        in_flight.start();
+        admission.waiting.fetch_add(1, Ordering::AcqRel);
         let enqueued = Instant::now();
         // The notify hook fires after the job ends *however* it ends, so the
         // reactor always re-checks its completion queue — even if the route
         // panicked and the responder's drop answered 500 mid-unwind.
-        self.pool.execute_notify(
+        self.scheduler.execute_notify(
             move || {
                 // Dropped when the job ends, panic or not.
                 let pending = guard;
-                // The pool's observer already feeds the shared queue-wait
-                // histogram; this attributes the same wait to the request.
-                span.record(rf_obs::Stage::QueueWait, enqueued.elapsed());
+                admission.waiting.fetch_sub(1, Ordering::AcqRel);
+                // Enqueue → job start, once per request: the queue wait the
+                // admission estimate predicts.  Widget and trial tasks on
+                // the same scheduler are not requests and record none.
+                let waited = enqueued.elapsed();
+                state
+                    .labels
+                    .metrics()
+                    .stages()
+                    .record(rf_obs::Stage::QueueWait, waited);
+                span.record(rf_obs::Stage::QueueWait, waited);
                 // Active for the whole route, so the pipeline's stage
                 // timings, cache outcome, and truncation flag land on this
                 // request's span.
@@ -568,7 +608,12 @@ impl Dispatch for LabelDispatch {
                 drop(pending);
                 responder.send(response.into_outbound(keep_alive));
             },
-            move || waker.wake(),
+            // Runs after the job's captures, the `AppState` among them, are
+            // dropped.
+            move || {
+                waker.wake();
+                in_flight.finish();
+            },
         );
     }
 }
@@ -585,17 +630,29 @@ pub struct Server {
 
 impl Server {
     /// Binds the listener(s) and prepares the server: the catalogue is
-    /// wrapped in an [`AppState`] whose label cache all connection workers
-    /// share.
+    /// wrapped in an [`AppState`] whose label service runs on a dedicated
+    /// scheduler of `workers` threads, with the default cache bounds.
     ///
     /// # Errors
     /// I/O errors from binding the address.
-    pub fn bind(catalog: DatasetCatalog, config: &ServerConfig) -> std::io::Result<Self> {
-        Self::bind_state(AppState::new(catalog), config)
+    pub fn bind(
+        catalog: DatasetCatalog,
+        workers: usize,
+        config: &ServerConfig,
+    ) -> std::io::Result<Self> {
+        let options = ServerOptions {
+            workers,
+            ..ServerOptions::default()
+        };
+        Self::bind_state(
+            AppState::with_service(catalog, options.label_service()),
+            config,
+        )
     }
 
     /// Binds the listener(s) over an explicit [`AppState`] (e.g. a
-    /// pre-warmed or custom-bounded label service).
+    /// pre-warmed or custom-bounded label service).  Requests run on the
+    /// state's label-service scheduler.
     ///
     /// With `config.reactors == 1` this is exactly the single-listener bind
     /// it has always been.  With more, the first `SO_REUSEPORT` listener may
@@ -656,10 +713,11 @@ impl Server {
     /// spawned `rf-reactor-{i}` threads.  Each shard owns its listener, its
     /// epoll set, its eventfd completion channel, and the full lifecycle of
     /// every connection the kernel hands it — shards never touch each
-    /// other's sockets.  They share one [`LabelDispatch`]: one label
-    /// worker pool, one admission gauge, one cache.  Label generation runs
-    /// on a dedicated [`rf_runtime::ThreadPool`] of `workers` threads and
-    /// each response returns through its own reactor's wake channel.
+    /// other's sockets.  They share one [`LabelDispatch`]: one scheduler,
+    /// one admission gauge, one cache.  Requests run on the label service's
+    /// scheduler, the one its pipeline fans out on, and each response
+    /// returns through its own reactor's wake channel.  Returns only after
+    /// every dispatched request job has finished.
     ///
     /// Per-connection failures (malformed requests, disconnects mid-write,
     /// handler panics) close only that connection; they never reach this
@@ -671,7 +729,6 @@ impl Server {
     pub fn run(&self) -> std::io::Result<()> {
         let dispatch = Arc::new(LabelDispatch::new(
             Arc::clone(&self.state),
-            self.config.workers.max(1),
             self.config.max_pending,
         ));
         let reactor_config = ReactorConfig {
@@ -745,12 +802,13 @@ impl Server {
                 }
             }
         }
+        // No reactor dispatches any more; the jobs already queued or
+        // running on the label service's scheduler still finish first.
+        dispatch.in_flight.wait_idle();
         match failure {
             Some(err) => Err(err),
             None => Ok(()),
         }
-        // Dropping the reactors closes every connection; dropping the
-        // dispatch drains the pool and joins its workers.
     }
 }
 
@@ -772,10 +830,9 @@ mod tests {
         let catalog = DatasetCatalog::with_demo_datasets();
         let config = ServerConfig {
             bind_address: "127.0.0.1:0".to_string(),
-            workers: 2,
             ..ServerConfig::default()
         };
-        let server = Server::bind(catalog, &config).expect("bind");
+        let server = Server::bind(catalog, 2, &config).expect("bind");
         let addr = server.local_addr().expect("addr");
         let shutdown = server.shutdown_handle();
         let handle = std::thread::spawn(move || {
@@ -840,7 +897,6 @@ mod tests {
         assert_eq!(parsed.slow_threshold_ms, 250);
         assert_eq!(parsed.trace_ring_entries, 64);
         let config = parsed.server_config();
-        assert_eq!(config.workers, 8);
         assert_eq!(config.reactors, 4);
         assert_eq!(config.max_connections, 512);
         assert_eq!(config.idle_timeout_ms, 15_000);
@@ -955,8 +1011,8 @@ mod tests {
         });
         let stats = state.labels.stats();
         assert_eq!(stats.cache.ttl_millis, Some(7_000));
-        // --workers sizes the label pipeline's own scheduler, not just the
-        // dispatch pool — /stats must agree with the flag.
+        // --workers sizes the label service's scheduler, which also runs
+        // the request jobs — /stats must agree with the flag.
         assert_eq!(stats.scheduler.workers, 3);
         // And the no-TTL default stays the no-TTL default.
         let default_state = AppState::new(DatasetCatalog::with_demo_datasets());
@@ -1071,7 +1127,6 @@ mod tests {
     #[test]
     fn default_config() {
         let config = ServerConfig::default();
-        assert_eq!(config.workers, 4);
         assert!(config.bind_address.contains("8080"));
         // One reactor preserves the pre-sharding topology bit for bit, and
         // the reactor knobs default to the previously hard-coded constants.
@@ -1151,6 +1206,55 @@ mod tests {
         assert_eq!(stats.pending, 0);
     }
 
+    /// The value of the exposition sample named exactly `series`.
+    fn sample(metrics: &str, series: &str) -> u64 {
+        metrics
+            .lines()
+            .find_map(|line| line.strip_prefix(series)?.strip_prefix(' '))
+            .and_then(|value| value.trim().parse().ok())
+            .unwrap_or_else(|| panic!("no sample `{series}` in:\n{metrics}"))
+    }
+
+    #[test]
+    fn queue_wait_counts_each_dispatched_request_once() {
+        // Requests share the label service's scheduler with the widget jobs
+        // and Monte-Carlo trial batches they fan out; only the requests
+        // record a queue wait.
+        let (addr, shutdown, handle) = start_server();
+        for path in [
+            "/datasets/compas/label.json?k=10&trials=64&mc_seed=7",
+            "/datasets/german-credit/label.json?trials=32&mc_seed=9",
+            "/datasets",
+            "/stats",
+        ] {
+            let response = request(
+                addr,
+                &format!("GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"),
+            );
+            assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
+        }
+        // The scrape is itself dispatched: both counts include it.
+        let metrics = request(
+            addr,
+            "GET /metrics HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+        );
+        let waits = sample(
+            &metrics,
+            "rf_stage_duration_microseconds_count{stage=\"queue_wait\",shard=\"service\"}",
+        );
+        let dispatched = sample(&metrics, "rf_reactor_dispatched_total{shard=\"all\"}");
+        let executed = sample(&metrics, "rf_scheduler_executed_jobs_total");
+        assert_eq!(dispatched, 5);
+        assert_eq!(waits, dispatched, "one queue wait per dispatched request");
+        assert!(
+            executed > dispatched,
+            "the labels' widget and trial tasks ran on the same scheduler: {executed}"
+        );
+
+        shutdown.store(true, Ordering::Relaxed);
+        handle.join().unwrap();
+    }
+
     #[test]
     fn request_ids_metrics_and_slow_traces_are_served_over_tcp() {
         // slow_threshold_ms = 0 traces every request (reachable through the
@@ -1158,12 +1262,11 @@ mod tests {
         let catalog = DatasetCatalog::with_demo_datasets();
         let config = ServerConfig {
             bind_address: "127.0.0.1:0".to_string(),
-            workers: 2,
             slow_threshold_ms: 0,
             trace_ring_entries: 16,
             ..ServerConfig::default()
         };
-        let server = Server::bind(catalog, &config).expect("bind");
+        let server = Server::bind(catalog, 2, &config).expect("bind");
         let addr = server.local_addr().expect("addr");
         let shutdown = server.shutdown_handle();
         let handle = std::thread::spawn(move || {

@@ -440,13 +440,19 @@ impl MonteCarloStability {
         let k = self.k.clamp(1, ranking.len());
         let kernel = TrialKernel::fit(table, scoring, self.data_noise, self.weight_noise)?
             .with_relaxed_fp(self.relaxed_fp);
-        let original_top_k: HashSet<usize> = ranking.top_k_indices(k).into_iter().collect();
         let original_order = ranking.order();
+        let mut in_original_top_k = vec![false; original_order.len()];
+        let mut original_top_k_len = 0;
+        for row in ranking.top_k_indices(k) {
+            original_top_k_len += usize::from(!in_original_top_k[row]);
+            in_original_top_k[row] = true;
+        }
         let original_top_item = original_order[0];
         Ok(TrialPlan {
             kernel,
             original_order,
-            original_top_k,
+            in_original_top_k,
+            original_top_k_len,
             original_top_item,
             k,
             seed: self.seed,
@@ -510,8 +516,11 @@ struct TrialPlan {
     kernel: TrialKernel,
     /// The original ranking's row indices, best first.
     original_order: Vec<usize>,
-    /// The original top-k as a set, for overlap counting.
-    original_top_k: HashSet<usize>,
+    /// Per row: whether it is in the original top-k, for overlap counting
+    /// by index instead of by hashing.
+    in_original_top_k: Vec<bool>,
+    /// Size of the original top-k set.
+    original_top_k_len: usize,
     original_top_item: usize,
     k: usize,
     seed: u64,
@@ -536,9 +545,9 @@ impl TrialPlan {
         let perturbed_top_len = self.k.min(rows);
         let intersection = scratch.order()[..perturbed_top_len]
             .iter()
-            .filter(|index| self.original_top_k.contains(index))
+            .filter(|&&row| self.in_original_top_k.get(row).copied().unwrap_or(false))
             .count();
-        let union = self.original_top_k.len() + perturbed_top_len - intersection;
+        let union = self.original_top_k_len + perturbed_top_len - intersection;
         Ok(TrialOutcome {
             kendall_tau,
             top_k_overlap: intersection as f64 / union as f64,

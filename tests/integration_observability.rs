@@ -24,7 +24,6 @@ const LABEL_PATH: &str = "/datasets/cs-departments/label.json?k=5";
 fn start_server(trace_all: bool) -> (SocketAddr, Arc<AtomicBool>, std::thread::JoinHandle<()>) {
     let config = ServerConfig {
         bind_address: "127.0.0.1:0".to_string(),
-        workers: 2,
         slow_threshold_ms: if trace_all {
             0
         } else {
@@ -33,7 +32,7 @@ fn start_server(trace_all: bool) -> (SocketAddr, Arc<AtomicBool>, std::thread::J
         trace_ring_entries: 32,
         ..ServerConfig::default()
     };
-    let server = Server::bind(DatasetCatalog::with_demo_datasets(), &config).expect("bind");
+    let server = Server::bind(DatasetCatalog::with_demo_datasets(), 2, &config).expect("bind");
     let addr = server.local_addr().expect("addr");
     let shutdown = server.shutdown_handle();
     let handle = std::thread::spawn(move || server.run().expect("server run"));

@@ -26,19 +26,23 @@ use std::time::Duration;
 
 /// Starts a demo server with a deliberately small label pool.
 fn start_server(workers: usize) -> (SocketAddr, Arc<AtomicBool>, std::thread::JoinHandle<()>) {
-    start_server_with(ServerConfig {
-        bind_address: "127.0.0.1:0".to_string(),
+    start_server_with(
         workers,
-        ..ServerConfig::default()
-    })
+        ServerConfig {
+            bind_address: "127.0.0.1:0".to_string(),
+            ..ServerConfig::default()
+        },
+    )
 }
 
-/// Starts a demo server from a full config (reactor shards, admission
-/// bounds).
+/// Starts a demo server with `workers` label workers from a full config
+/// (reactor shards, admission bounds).
 fn start_server_with(
+    workers: usize,
     config: ServerConfig,
 ) -> (SocketAddr, Arc<AtomicBool>, std::thread::JoinHandle<()>) {
-    let server = Server::bind(DatasetCatalog::with_demo_datasets(), &config).expect("bind");
+    let server =
+        Server::bind(DatasetCatalog::with_demo_datasets(), workers, &config).expect("bind");
     let addr = server.local_addr().expect("addr");
     let shutdown = server.shutdown_handle();
     let handle = std::thread::spawn(move || server.run().expect("server run"));
@@ -227,12 +231,14 @@ fn two_reactor_shards_serve_byte_identical_labels() {
     let reference = Arc::new(reference);
 
     // The same demo catalogue behind two SO_REUSEPORT reactor shards.
-    let (addr, shutdown, handle) = start_server_with(ServerConfig {
-        bind_address: "127.0.0.1:0".to_string(),
-        workers: 2,
-        reactors: 2,
-        ..ServerConfig::default()
-    });
+    let (addr, shutdown, handle) = start_server_with(
+        2,
+        ServerConfig {
+            bind_address: "127.0.0.1:0".to_string(),
+            reactors: 2,
+            ..ServerConfig::default()
+        },
+    );
 
     let metrics_before = scrape_metrics(addr);
 
@@ -300,12 +306,14 @@ fn two_reactor_shards_serve_byte_identical_labels() {
 #[test]
 fn saturated_dispatch_queue_sheds_with_503_and_retry_after() {
     // One worker, and admission allows exactly one unanswered request.
-    let (addr, shutdown, handle) = start_server_with(ServerConfig {
-        bind_address: "127.0.0.1:0".to_string(),
-        workers: 1,
-        max_pending: 1,
-        ..ServerConfig::default()
-    });
+    let (addr, shutdown, handle) = start_server_with(
+        1,
+        ServerConfig {
+            bind_address: "127.0.0.1:0".to_string(),
+            max_pending: 1,
+            ..ServerConfig::default()
+        },
+    );
 
     // A deliberately slow cold request (1024 Monte-Carlo re-rankings of the
     // 1000-row German-credit dataset) occupies the only worker…
