@@ -60,13 +60,14 @@ pub fn render_html(label: &NutritionalLabel) -> String {
     }
     let _ = write!(body, "</table><h3>Details (top-{} vs over-all)</h3><table><tr><th>Attribute</th><th>top-k min/med/max</th><th>over-all min/med/max</th></tr>", label.config.top_k);
     for detail in &label.recipe.details {
+        let top_k = match &detail.top_k {
+            Some(s) => format!("{:.2} / {:.2} / {:.2}", s.min, s.median, s.max),
+            None => "n/a".to_string(),
+        };
         let _ = write!(
             body,
-            "<tr><td>{}</td><td>{:.2} / {:.2} / {:.2}</td><td>{:.2} / {:.2} / {:.2}</td></tr>",
+            "<tr><td>{}</td><td>{top_k}</td><td>{:.2} / {:.2} / {:.2}</td></tr>",
             escape(&detail.attribute),
-            detail.top_k.min,
-            detail.top_k.median,
-            detail.top_k.max,
             detail.overall.min,
             detail.overall.median,
             detail.overall.max

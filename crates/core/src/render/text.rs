@@ -56,16 +56,14 @@ pub fn render_text(label: &NutritionalLabel) -> String {
         label.config.top_k
     );
     for detail in &label.recipe.details {
+        let top_k = match &detail.top_k {
+            Some(s) => format!("min {:.2} med {:.2} max {:.2}", s.min, s.median, s.max),
+            None => "n/a".to_string(),
+        };
         let _ = writeln!(
             out,
-            "{:<20} top-k: min {:.2} med {:.2} max {:.2} | all: min {:.2} med {:.2} max {:.2}",
-            detail.attribute,
-            detail.top_k.min,
-            detail.top_k.median,
-            detail.top_k.max,
-            detail.overall.min,
-            detail.overall.median,
-            detail.overall.max,
+            "{:<20} top-k: {top_k} | all: min {:.2} med {:.2} max {:.2}",
+            detail.attribute, detail.overall.min, detail.overall.median, detail.overall.max,
         );
     }
     let _ = writeln!(out);

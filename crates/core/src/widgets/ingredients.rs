@@ -15,11 +15,25 @@
 //! * **learned weight** — the coefficient of the attribute in a multiple
 //!   linear regression of the score on all standardized numeric attributes
 //!   (the "highest learned weights" formulation), shown in the detailed view.
+//!
+//! ## Cost
+//!
+//! Near-linear in the table, with one sort per numeric attribute and none
+//! for the scores.  The scores' tie-averaged ranks are read off the
+//! ranking's order once per label ([`rf_stats::tie_averaged_ranks`]).  Each
+//! attribute is read in place, mean-imputed, and sorted once as
+//! `(sort key, row)` pairs ([`rf_ranking::sort_descending`]); that one order
+//! gives both its Spearman ranks and the top-`depth` prefix the rank-aware
+//! association compares with the ranking.  The standardization looks each
+//! column's parameters up once, the regression refills one design-row
+//! buffer, and the details ([`AttributeDetail`]) select their medians
+//! instead of sorting.  Every value is bit-identical to ranking, sorting and
+//! summarizing each column from scratch.
 
 use crate::error::LabelResult;
 use crate::widgets::recipe::AttributeDetail;
-use rf_ranking::{rank_aware_association, Ranking};
-use rf_stats::{spearman, MultipleRegression};
+use rf_ranking::{rank_aware_association_of_order, sort_descending, Ranking};
+use rf_stats::{spearman_with_ranks, tie_averaged_ranks, MultipleRegression};
 use rf_table::{NormalizationMethod, Normalizer, Table};
 
 /// How the Ingredients widget estimates which attributes are "most material
@@ -129,67 +143,67 @@ impl IngredientsWidget {
         method: IngredientsMethod,
     ) -> LabelResult<Self> {
         let scores = ranking.score_vector();
-        let numeric_names: Vec<String> = table
-            .schema()
-            .numeric_names()
-            .iter()
-            .map(|s| (*s).to_string())
-            .collect();
+        // The scores' ranks, once per label: the ranking already holds the
+        // scores in descending order.
+        let score_ranks = tie_averaged_ranks(
+            ranking.items(),
+            |item| item.index,
+            |a, b| a.score == b.score,
+        );
+        let depth = k.clamp(1, ranking.len());
 
         // Rank association per attribute (skip attributes that are constant or
         // all-missing: they cannot explain the outcome).
+        let numeric_names = table.schema().numeric_names();
         let mut all_attributes = Vec::with_capacity(numeric_names.len());
-        let mut usable: Vec<(String, Vec<f64>)> = Vec::new();
-        for name in &numeric_names {
-            let options = table.numeric_column_options(name)?;
+        let mut usable: Vec<(&str, Vec<f64>)> = Vec::new();
+        for name in numeric_names {
+            let values = table.numeric_view(name)?;
             // Mean-impute missing values for the association estimate.
-            let non_null: Vec<f64> = options.iter().filter_map(|v| *v).collect();
-            if non_null.is_empty() {
+            let present = values.iter().flatten().count();
+            if present == 0 {
                 continue;
             }
-            let mean = non_null.iter().sum::<f64>() / non_null.len() as f64;
-            let filled: Vec<f64> = options.iter().map(|v| v.unwrap_or(mean)).collect();
-            let signed = match spearman(&filled, &scores) {
+            let mean = values.iter().flatten().sum::<f64>() / present as f64;
+            let filled: Vec<f64> = values.iter().map(|v| v.unwrap_or(mean)).collect();
+            // The attribute's one sort: its rows best first, which gives its
+            // Spearman ranks and the ranking it alone would induce.
+            let order = sort_descending(&filled);
+            let ranks = tie_averaged_ranks(&order, |&(_, row)| row, |a, b| a.0 == b.0);
+            let signed = match spearman_with_ranks(&filled, &scores, &ranks, &score_ranks) {
                 Ok(rho) => rho,
                 Err(rf_stats::StatsError::ZeroVariance { .. }) => 0.0,
                 Err(err) => return Err(err.into()),
             };
             // Rank-aware (top-weighted) agreement between the ranking this
             // attribute alone would produce and the observed ranking.
-            let depth = k.clamp(1, ranking.len());
-            let top_weighted = rank_aware_association(ranking, &filled, depth)?;
+            let top_weighted =
+                rank_aware_association_of_order(ranking, order.iter().map(|&(_, row)| row), depth)?;
             all_attributes.push(Ingredient {
-                attribute: name.clone(),
+                attribute: name.to_string(),
                 rank_association: signed.abs(),
                 signed_association: signed,
                 top_weighted_association: top_weighted,
                 learned_weight: None,
-                in_recipe: recipe_attributes.contains(&name.as_str()),
+                in_recipe: recipe_attributes.contains(&name),
             });
-            usable.push((name.clone(), filled));
+            usable.push((name, filled));
         }
 
-        // Learned weights: regress the score on all standardized usable attributes.
+        // Learned weights: regress the score on all standardized usable
+        // attributes (one per entry of `all_attributes`, in the same order).
         let mut model_r_squared = None;
         if !usable.is_empty() {
-            let names: Vec<&str> = usable.iter().map(|(n, _)| n.as_str()).collect();
+            let names: Vec<&str> = usable.iter().map(|(n, _)| *n).collect();
             if let Ok(normalizer) = Normalizer::fit(table, &names, NormalizationMethod::ZScore) {
-                let design: Vec<Vec<f64>> = usable
-                    .iter()
-                    .map(|(name, filled)| {
-                        filled
-                            .iter()
-                            .map(|&v| normalizer.transform_value(name, v).unwrap_or(0.0))
-                            .collect()
-                    })
-                    .collect();
+                let mut design: Vec<Vec<f64>> = Vec::with_capacity(usable.len());
+                for (name, filled) in &usable {
+                    let transform = normalizer.column_transform(name)?;
+                    design.push(filled.iter().map(|&v| transform(v)).collect());
+                }
                 if let Ok(fit) = MultipleRegression::fit(&design, &scores) {
                     model_r_squared = Some(fit.r_squared);
-                    for (ing, coeff) in all_attributes
-                        .iter_mut()
-                        .filter(|i| usable.iter().any(|(n, _)| n == &i.attribute))
-                        .zip(fit.coefficients.iter())
-                    {
+                    for (ing, coeff) in all_attributes.iter_mut().zip(fit.coefficients.iter()) {
                         ing.learned_weight = Some(*coeff);
                     }
                 }
@@ -328,7 +342,7 @@ mod tests {
         assert_eq!(widget.details.len(), widget.ingredients.len());
         for (detail, ing) in widget.details.iter().zip(widget.ingredients.iter()) {
             assert_eq!(detail.attribute, ing.attribute);
-            assert_eq!(detail.top_k.count, 5);
+            assert_eq!(detail.top_k.as_ref().unwrap().count, 5);
         }
     }
 

@@ -6,6 +6,10 @@
 //! widgets list statistics of the attributes in the Recipe and in the
 //! Ingredients: minimum, maximum and median values at the top-10 and
 //! over-all." (paper §2.1)
+//!
+//! An [`AttributeDetail`] reads its column in place and sorts nothing:
+//! [`Summary::of`] selects the median, so a detail costs O(n) per
+//! attribute.
 
 use crate::error::LabelResult;
 use rf_ranking::{Ranking, ScoringFunction};
@@ -18,8 +22,9 @@ use rf_table::Table;
 pub struct AttributeDetail {
     /// Attribute name.
     pub attribute: String,
-    /// Statistics over the top-k rows.
-    pub top_k: Summary,
+    /// Statistics over the top-k rows; `None` when none of them has a value
+    /// for the attribute.
+    pub top_k: Option<Summary>,
     /// Statistics over all rows.
     pub overall: Summary,
 }
@@ -28,23 +33,29 @@ impl AttributeDetail {
     /// Computes the top-k / over-all statistics of one numeric attribute.
     ///
     /// # Errors
-    /// Unknown or non-numeric attribute, or no non-missing values in a slice.
+    /// Unknown or non-numeric attribute, a non-finite value, or no
+    /// non-missing value in the whole column.
     pub fn compute(
         table: &Table,
         ranking: &Ranking,
         attribute: &str,
         k: usize,
     ) -> LabelResult<Self> {
-        let values = table.numeric_column_options(attribute)?;
-        let overall: Vec<f64> = values.iter().filter_map(|v| *v).collect();
+        let values = table.numeric_view(attribute)?;
         let top_k_values: Vec<f64> = ranking
-            .top_k_indices(k)
+            .top_k(k)
             .iter()
-            .filter_map(|&i| values[i])
+            .filter_map(|item| values.get(item.index))
             .collect();
+        let top_k = if top_k_values.is_empty() {
+            None
+        } else {
+            Some(Summary::of(&top_k_values)?)
+        };
+        let overall: Vec<f64> = values.iter().flatten().collect();
         Ok(AttributeDetail {
             attribute: attribute.to_string(),
-            top_k: Summary::of(&top_k_values)?,
+            top_k,
             overall: Summary::of(&overall)?,
         })
     }
@@ -155,10 +166,11 @@ mod tests {
         let pub_detail = &recipe.details[0];
         assert_eq!(pub_detail.attribute, "PubCount");
         assert_eq!(pub_detail.overall.count, 5);
-        assert_eq!(pub_detail.top_k.count, 2);
+        let top_k = pub_detail.top_k.as_ref().unwrap();
+        assert_eq!(top_k.count, 2);
         // The top-2 by PubCount-dominated score have the two largest PubCounts.
-        assert_eq!(pub_detail.top_k.min, 7.0);
-        assert_eq!(pub_detail.top_k.max, 9.0);
+        assert_eq!(top_k.min, 7.0);
+        assert_eq!(top_k.max, 9.0);
         assert_eq!(pub_detail.overall.min, 1.0);
     }
 
@@ -179,6 +191,6 @@ mod tests {
             .iter()
             .find(|d| d.attribute == "GRE")
             .unwrap();
-        assert!((gre.top_k.median - gre.overall.median).abs() < 3.0);
+        assert!((gre.top_k.as_ref().unwrap().median - gre.overall.median).abs() < 3.0);
     }
 }

@@ -13,6 +13,14 @@ pub enum DiversityError {
         /// Attribute name.
         attribute: String,
     },
+    /// The categorical attribute has no non-missing value among the top-k
+    /// rows (it may have some below them).
+    EmptyTopK {
+        /// Attribute name.
+        attribute: String,
+        /// Audited prefix size.
+        k: usize,
+    },
     /// `k` (the prefix size) is invalid: zero or larger than the ranking.
     InvalidK {
         /// Requested prefix size.
@@ -36,6 +44,12 @@ impl fmt::Display for DiversityError {
         match self {
             DiversityError::EmptyAttribute { attribute } => {
                 write!(f, "attribute `{attribute}` has no non-missing values")
+            }
+            DiversityError::EmptyTopK { attribute, k } => {
+                write!(
+                    f,
+                    "attribute `{attribute}` has no non-missing values among the top-{k} items"
+                )
             }
             DiversityError::InvalidK { k, n } => {
                 write!(f, "invalid prefix size k={k} for a ranking of {n} items")
@@ -81,6 +95,14 @@ mod tests {
             attribute: "Region".to_string(),
         };
         assert!(e.to_string().contains("Region"));
+        let e = DiversityError::EmptyTopK {
+            attribute: "Region".to_string(),
+            k: 10,
+        };
+        assert_eq!(
+            e.to_string(),
+            "attribute `Region` has no non-missing values among the top-10 items"
+        );
         let e = DiversityError::InvalidK { k: 50, n: 10 };
         assert!(e.to_string().contains("k=50"));
     }

@@ -34,16 +34,18 @@ impl CategoryProportions {
     /// # Errors
     /// Unknown/float column, or a column with no non-missing values.
     pub fn over_table(table: &Table, attribute: &str) -> DiversityResult<Self> {
-        let labels = table.categorical_column(attribute)?;
-        Self::from_labels(attribute, labels.iter().map(|l| l.as_deref()))
+        let labels = table.categorical_view(attribute)?;
+        Self::from_labels(attribute, labels.iter())
     }
 
     /// Computes the distribution of `attribute` over the top-k rows of
     /// `ranking`.
     ///
+    /// Only the top-k rows' labels are read.
+    ///
     /// # Errors
-    /// Unknown/float column, `k` out of range, or no non-missing values among
-    /// the top-k.
+    /// Unknown/float column, `k` out of range, or
+    /// [`DiversityError::EmptyTopK`] when no top-k row has a label.
     pub fn over_top_k(
         table: &Table,
         ranking: &Ranking,
@@ -56,18 +58,24 @@ impl CategoryProportions {
                 n: ranking.len(),
             });
         }
-        let labels = table.categorical_column(attribute)?;
-        let top_indices = ranking.top_k_indices(k);
-        Self::from_labels(attribute, top_indices.iter().map(|&i| labels[i].as_deref()))
+        let labels = table.categorical_view(attribute)?;
+        let top_k = ranking.top_k(k).iter().map(|item| labels.get(item.index));
+        Self::from_labels(attribute, top_k).map_err(|err| match err {
+            DiversityError::EmptyAttribute { attribute } => {
+                DiversityError::EmptyTopK { attribute, k }
+            }
+            other => other,
+        })
     }
 
     /// Builds the distribution from an iterator of optional labels.
     ///
     /// # Errors
     /// [`DiversityError::EmptyAttribute`] when every label is missing.
-    pub fn from_labels<'a, I>(attribute: &str, labels: I) -> DiversityResult<Self>
+    pub fn from_labels<I, S>(attribute: &str, labels: I) -> DiversityResult<Self>
     where
-        I: IntoIterator<Item = Option<&'a str>>,
+        I: IntoIterator<Item = Option<S>>,
+        S: AsRef<str>,
     {
         let mut counts: Vec<(String, usize)> = Vec::new();
         let mut total = 0usize;
@@ -75,6 +83,7 @@ impl CategoryProportions {
         for label in labels {
             match label {
                 Some(value) => {
+                    let value = value.as_ref();
                     total += 1;
                     match counts.iter_mut().find(|(cat, _)| cat == value) {
                         Some((_, c)) => *c += 1,
@@ -211,6 +220,45 @@ mod tests {
         let labels = [Some("b"), Some("a"), Some("b"), Some("a")];
         let p = CategoryProportions::from_labels("attr", labels).unwrap();
         assert_eq!(p.labels(), vec!["a", "b"]);
+    }
+
+    #[test]
+    fn unlabelled_top_k_names_the_top_k() {
+        // The column has labels, just none among the three best rows.
+        let t = Table::from_columns(vec![
+            (
+                "region",
+                Column::Str(vec![
+                    None,
+                    None,
+                    None,
+                    Some("NE".to_string()),
+                    Some("W".to_string()),
+                ]),
+            ),
+            ("score", Column::from_f64(vec![5.0, 4.0, 3.0, 2.0, 1.0])),
+        ])
+        .unwrap();
+        let ranking = Ranking::from_scores(&t.numeric_column("score").unwrap()).unwrap();
+        let err = CategoryProportions::over_top_k(&t, &ranking, "region", 3).unwrap_err();
+        assert_eq!(
+            err,
+            DiversityError::EmptyTopK {
+                attribute: "region".to_string(),
+                k: 3
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "attribute `region` has no non-missing values among the top-3 items"
+        );
+        // Over the whole column, and at a k that reaches a label, it works.
+        assert_eq!(
+            CategoryProportions::over_table(&t, "region").unwrap().total,
+            2
+        );
+        let p = CategoryProportions::over_top_k(&t, &ranking, "region", 4).unwrap();
+        assert_eq!((p.total, p.missing), (1, 3));
     }
 
     #[test]

@@ -43,17 +43,15 @@ impl ProtectedGroup {
         attribute: &str,
         protected_value: &str,
     ) -> FairnessResult<Self> {
-        let labels = table.categorical_column(attribute)?;
+        let labels = table.categorical_view(attribute)?;
         // Missing labels are an error: every ranked item needs a group.
-        for (row, label) in labels.iter().enumerate() {
-            if label.is_none() {
-                return Err(FairnessError::MissingGroupLabel { row });
-            }
+        if let Some(row) = labels.iter().position(|label| label.is_none()) {
+            return Err(FairnessError::MissingGroupLabel { row });
         }
         let mut domain: Vec<String> = Vec::new();
         for label in labels.iter().flatten() {
-            if !domain.contains(label) {
-                domain.push(label.clone());
+            if !domain.iter().any(|v| *v == label) {
+                domain.push(label.into_owned());
             }
         }
         if domain.len() != 2 {

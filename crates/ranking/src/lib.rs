@@ -45,8 +45,8 @@ pub use compare::{
 pub use error::{RankingError, RankingResult};
 pub use perturb::{perturb_table_gaussian, perturb_weights, PerturbationSpec, TablePerturber};
 pub use rank_aware::{
-    ap_correlation, average_overlap, rank_aware_association, rank_biased_overlap, top_k_jaccard,
-    top_k_overlap,
+    ap_correlation, average_overlap, rank_aware_association, rank_aware_association_of_order,
+    rank_biased_overlap, top_k_jaccard, top_k_overlap,
 };
-pub use ranking::{RankedItem, Ranking};
+pub use ranking::{sort_descending, RankedItem, Ranking};
 pub use score::{AttributeWeight, MissingValuePolicy, ScoreModel, ScoringFunction};

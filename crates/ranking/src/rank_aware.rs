@@ -19,7 +19,7 @@
 //!   toward the top.
 
 use crate::error::{RankingError, RankingResult};
-use crate::ranking::Ranking;
+use crate::ranking::{sort_descending, validate_finite, Ranking};
 
 fn validate_same_items(a: &Ranking, b: &Ranking) -> RankingResult<()> {
     if a.len() != b.len() {
@@ -179,8 +179,31 @@ pub fn rank_aware_association(
             ),
         });
     }
-    let attribute_ranking = Ranking::from_scores(values)?;
-    average_overlap(ranking, &attribute_ranking, depth)
+    validate_finite(values)?;
+    let attribute_order = sort_descending(values);
+    rank_aware_association_of_order(ranking, attribute_order.iter().map(|&(_, row)| row), depth)
+}
+
+/// [`rank_aware_association`] of an attribute whose induced order is
+/// already known: `attribute_order` yields the attribute's rows best first
+/// (as [`crate::sort_descending`] orders them), at least `depth` of them.
+/// Only that prefix is read, so no [`Ranking`] of the attribute is built.
+///
+/// # Errors
+/// Returns an error when `depth` is zero or larger than the ranking.
+pub fn rank_aware_association_of_order(
+    ranking: &Ranking,
+    attribute_order: impl IntoIterator<Item = usize>,
+    depth: usize,
+) -> RankingResult<f64> {
+    validate_k(depth, ranking.len())?;
+    let agreements = prefix_agreements_of(
+        ranking.items().iter().map(|item| item.index),
+        attribute_order,
+        ranking.len(),
+        depth,
+    );
+    Ok(agreements.iter().sum::<f64>() / depth as f64)
 }
 
 /// Intersection size of the two top-k prefixes.
@@ -196,16 +219,27 @@ fn prefix_intersection(a: &Ranking, b: &Ranking, k: usize) -> usize {
 /// computed incrementally in `O(depth²)` worst case but with small constant
 /// factors (membership tracked in boolean vectors).
 fn prefix_agreements(a: &Ranking, b: &Ranking, depth: usize) -> Vec<f64> {
-    let n = a.len();
-    let a_order = a.order();
-    let b_order = b.order();
+    prefix_agreements_of(
+        a.items().iter().map(|item| item.index),
+        b.items().iter().map(|item| item.index),
+        a.len(),
+        depth,
+    )
+}
+
+/// [`prefix_agreements`] of two orders of the same `n` rows, given as row
+/// sequences (best first) with at least `depth` rows each.
+fn prefix_agreements_of(
+    a_order: impl IntoIterator<Item = usize>,
+    b_order: impl IntoIterator<Item = usize>,
+    n: usize,
+    depth: usize,
+) -> Vec<f64> {
     let mut in_a = vec![false; n];
     let mut in_b = vec![false; n];
     let mut overlap = 0usize;
     let mut agreements = Vec::with_capacity(depth);
-    for d in 0..depth {
-        let a_item = a_order[d];
-        let b_item = b_order[d];
+    for (d, (a_item, b_item)) in a_order.into_iter().zip(b_order).take(depth).enumerate() {
         if a_item == b_item {
             overlap += 1;
         } else {
@@ -351,6 +385,24 @@ mod tests {
         let assoc_unrelated = rank_aware_association(&ranking, &unrelated, 5).unwrap();
         assert!((assoc_driving - 1.0).abs() < 1e-12);
         assert!(assoc_unrelated < assoc_driving);
+    }
+
+    #[test]
+    fn association_equals_the_average_overlap_with_the_attribute_ranking() {
+        // The old formulation, built from a full Ranking of the attribute,
+        // is the oracle; ties and both zeros exercise the pair sort's order.
+        let scores = [3.0, 1.0, 2.0, 2.0, 0.0, -0.0, 5.0, 1.0, 4.0, 2.0];
+        let attribute = [0.0, 2.0, -0.0, 2.0, 7.0, 1.0, 1.0, 9.0, -3.0, 2.0];
+        let ranking = Ranking::from_scores(&scores).unwrap();
+        for depth in 1..=scores.len() {
+            let reference =
+                average_overlap(&ranking, &Ranking::from_scores(&attribute).unwrap(), depth)
+                    .unwrap();
+            let fast = rank_aware_association(&ranking, &attribute, depth).unwrap();
+            assert_eq!(fast.to_bits(), reference.to_bits(), "depth {depth}");
+        }
+        assert!(rank_aware_association_of_order(&ranking, 0..scores.len(), 0).is_err());
+        assert!(rank_aware_association_of_order(&ranking, 0..scores.len(), 11).is_err());
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! "the top-10 and over-all" views of the same ranking; [`Ranking::top_k`]
 //! and [`Ranking::order`] provide those slices.
 
+use crate::columnar::descending_sort_key;
 use crate::error::{RankingError, RankingResult};
 
 /// One item of a ranking.
@@ -35,21 +36,11 @@ impl Ranking {
         if scores.is_empty() {
             return Err(RankingError::EmptyRanking);
         }
-        if scores.iter().any(|s| !s.is_finite()) {
-            return Err(RankingError::Stats(rf_stats::StatsError::NonFiniteInput {
-                operation: "Ranking::from_scores",
-            }));
-        }
-        let mut indices: Vec<usize> = (0..scores.len()).collect();
-        indices.sort_by(|&a, &b| {
-            scores[b]
-                .partial_cmp(&scores[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let items = indices
+        validate_finite(scores)?;
+        let items = sort_descending(scores)
             .into_iter()
             .enumerate()
-            .map(|(pos, index)| RankedItem {
+            .map(|(pos, (_, index))| RankedItem {
                 rank: pos + 1,
                 index,
                 score: scores[index],
@@ -167,9 +158,77 @@ impl Ranking {
     }
 }
 
+/// Rejects a non-finite score the way [`Ranking::from_scores`] does.
+pub(crate) fn validate_finite(scores: &[f64]) -> RankingResult<()> {
+    if scores.iter().any(|s| !s.is_finite()) {
+        return Err(RankingError::Stats(rf_stats::StatsError::NonFiniteInput {
+            operation: "Ranking::from_scores",
+        }));
+    }
+    Ok(())
+}
+
+/// The rows of `values` by non-increasing value, ties by ascending row —
+/// the order [`Ranking::from_scores`] ranks them in — as sorted
+/// `(descending_sort_key(value), row)` pairs.
+///
+/// One unstable sort of integer pairs replaces a stable comparator argsort:
+/// equal values (both zeros included) have equal keys, and the row breaks
+/// the tie.  Equal keys are also exactly the tie groups of
+/// `rf_stats::descriptive::rank_with_ties`, so the same pairs yield a
+/// column's tie-averaged ranks ([`rf_stats::tie_averaged_ranks`]) and its
+/// top prefix.  The caller checks that every value is finite.
+#[must_use]
+pub fn sort_descending(values: &[f64]) -> Vec<(u64, usize)> {
+    let mut pairs: Vec<(u64, usize)> = values
+        .iter()
+        .enumerate()
+        .map(|(row, &v)| (descending_sort_key(v), row))
+        .collect();
+    pairs.sort_unstable();
+    pairs
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The stable comparator argsort the pair sort replaced: the oracle.
+    fn order_by_comparator(scores: &[f64]) -> Vec<usize> {
+        let mut indices: Vec<usize> = (0..scores.len()).collect();
+        indices.sort_by(|&a, &b| {
+            scores[b]
+                .partial_cmp(&scores[a])
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        indices
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn from_scores_orders_like_the_stable_comparator_sort(
+            scores in prop::collection::vec(
+                (0usize..10, -1.0e3f64..1.0e3).prop_map(|(pick, x)| match pick {
+                    0 => -0.0,
+                    1 => 0.0,
+                    2 => 1.5,
+                    3 => -1.5,
+                    4 => x.round(),
+                    _ => x,
+                }),
+                1..400,
+            ),
+        ) {
+            let ranking = Ranking::from_scores(&scores).unwrap();
+            prop_assert_eq!(ranking.order(), order_by_comparator(&scores));
+            for item in ranking.items() {
+                prop_assert_eq!(item.score.to_bits(), scores[item.index].to_bits());
+            }
+        }
+    }
 
     #[test]
     fn from_scores_orders_descending() {

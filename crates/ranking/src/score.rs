@@ -314,12 +314,17 @@ impl ScoreModel {
     /// index, identical to a full-table pass).
     pub fn score_range(&self, range: std::ops::Range<usize>) -> RankingResult<Vec<f64>> {
         let range = range.start.min(self.rows)..range.end.min(self.rows);
+        let transforms = self
+            .attributes
+            .iter()
+            .map(|attribute| self.normalizer.column_transform(&attribute.name))
+            .collect::<Result<Vec<_>, _>>()?;
         let mut scores = Vec::with_capacity(range.len());
         for row in range {
             let mut score = 0.0;
-            for attribute in &self.attributes {
+            for (attribute, transform) in self.attributes.iter().zip(&transforms) {
                 let value = match attribute.values[row] {
-                    Some(v) => self.normalizer.transform_value(&attribute.name, v)?,
+                    Some(v) => transform(v),
                     None => match self.missing_policy {
                         MissingValuePolicy::Error => {
                             return Err(RankingError::MissingValue {
@@ -327,9 +332,7 @@ impl ScoreModel {
                                 row,
                             })
                         }
-                        MissingValuePolicy::MeanImpute => self
-                            .normalizer
-                            .transform_value(&attribute.name, attribute.mean)?,
+                        MissingValuePolicy::MeanImpute => transform(attribute.mean),
                         MissingValuePolicy::Zero => 0.0,
                     },
                 };

@@ -883,12 +883,12 @@ fn upload_config(
             config = config.with_sensitive_attribute(sensitive, [protected.to_string()]);
         } else {
             // Audit every value of the binary attribute, as the tool does.
-            match table.categorical_column(sensitive) {
+            match table.categorical_view(sensitive) {
                 Ok(labels) => {
                     let mut values: Vec<String> = Vec::new();
-                    for label in labels.into_iter().flatten() {
-                        if !values.contains(&label) {
-                            values.push(label);
+                    for label in labels.iter().flatten() {
+                        if !values.iter().any(|v| *v == label) {
+                            values.push(label.into_owned());
                         }
                     }
                     config = config.with_sensitive_attribute(sensitive, values);

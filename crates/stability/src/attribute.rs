@@ -83,21 +83,14 @@ pub fn normalized_values_in_rank_order(
     // that slope magnitudes are comparable across attributes, regardless of
     // the normalization the scoring function itself used.
     let normalizer = Normalizer::fit(table, &names, NormalizationMethod::MinMax)?;
-    let order = ranking.order();
     let mut matrix = Vec::with_capacity(names.len());
     for weight in scoring.weights() {
-        let options = table.numeric_column_options(&weight.attribute)?;
-        let values_in_rank_order: Vec<f64> = order
+        let values = table.numeric_view(&weight.attribute)?;
+        let transform = normalizer.column_transform(&weight.attribute)?;
+        let values_in_rank_order: Vec<f64> = ranking
+            .items()
             .iter()
-            .map(|&row| {
-                options[row]
-                    .map(|v| {
-                        normalizer
-                            .transform_value(&weight.attribute, v)
-                            .expect("fitted column")
-                    })
-                    .unwrap_or(f64::NAN)
-            })
+            .map(|item| values.get(item.index).map(&transform).unwrap_or(f64::NAN))
             .collect();
         matrix.push((weight.attribute.clone(), values_in_rank_order));
     }

@@ -45,9 +45,32 @@ pub fn pearson(x: &[f64], y: &[f64]) -> StatsResult<f64> {
 /// Same conditions as [`pearson`].
 pub fn spearman(x: &[f64], y: &[f64]) -> StatsResult<f64> {
     validate_pair(x, y, "spearman")?;
-    let rx = rank_with_ties(x)?;
-    let ry = rank_with_ties(y)?;
-    pearson(&rx, &ry).map_err(|e| match e {
+    pearson_of_ranks(&rank_with_ties(x)?, &rank_with_ties(y)?)
+}
+
+/// [`spearman`] of `x` and `y` when their tie-averaged ranks are already
+/// known (e.g. from [`crate::descriptive::tie_averaged_ranks`]): `rank_x`
+/// and `rank_y` must be what [`rank_with_ties`] returns for `x` and `y`.
+///
+/// `x` and `y` are validated exactly as [`spearman`] validates them, so the
+/// result — value and errors — is the same, without the two sorts.
+///
+/// # Errors
+/// Same conditions as [`spearman`].
+pub fn spearman_with_ranks(
+    x: &[f64],
+    y: &[f64],
+    rank_x: &[f64],
+    rank_y: &[f64],
+) -> StatsResult<f64> {
+    validate_pair(x, y, "spearman")?;
+    pearson_of_ranks(rank_x, rank_y)
+}
+
+/// Pearson correlation of two rank vectors, reporting a constant one as a
+/// zero-variance Spearman input.
+fn pearson_of_ranks(rank_x: &[f64], rank_y: &[f64]) -> StatsResult<f64> {
+    pearson(rank_x, rank_y).map_err(|e| match e {
         StatsError::ZeroVariance { .. } => StatsError::ZeroVariance {
             operation: "spearman",
         },
@@ -57,12 +80,12 @@ pub fn spearman(x: &[f64], y: &[f64]) -> StatsResult<f64> {
 
 /// Kendall rank correlation coefficient (tau-b, which corrects for ties).
 ///
-/// This is the measure Ranking Facts uses to compare two rankings of the same
-/// items — e.g. the original ranking against a ranking computed from perturbed
-/// scores in the Monte-Carlo stability estimator.
-///
-/// Runs in O(n²); the rankings involved (tens to a few thousand items) keep
-/// this comfortably fast, and the quadratic form handles ties exactly.
+/// A direct reference implementation: it runs in O(n²) and handles ties in
+/// both inputs exactly.  The label's comparisons of two rankings of the same
+/// items, including the Monte-Carlo stability estimator's, do not use it:
+/// rankings have no ties, so `rf_ranking::kendall_tau_with_scratch` counts
+/// their discordant pairs as inversions with a blocked Fenwick tree instead,
+/// and its tests check that count against this function.
 ///
 /// # Errors
 /// Returns an error if the slices differ in length, have fewer than two

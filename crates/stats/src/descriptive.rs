@@ -4,6 +4,15 @@
 //! "list statistics of the attributes [...]: minimum, maximum and median
 //! values at the top-10 and over-all" (paper §2.1).  [`Summary`] packages
 //! exactly that set of statistics for one attribute over one slice of rows.
+//!
+//! ## Cost
+//!
+//! Nothing here sorts.  [`quantile`] (and so [`median`] and
+//! [`Summary::of`]) selects its one or two order statistics in expected
+//! O(n) instead of sorting the whole slice, and [`tie_averaged_ranks`]
+//! reads the ranks of [`rank_with_ties`] off an order the caller already
+//! has — the Ingredients widget ranks the scores once per label this way and
+//! each attribute once.  Only [`rank_with_ties`] itself still sorts.
 
 use crate::error::{StatsError, StatsResult};
 
@@ -119,26 +128,46 @@ pub fn quantile(values: &[f64], q: f64) -> StatsResult<f64> {
             message: format!("quantile level must lie in [0, 1], got {q}"),
         });
     }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
-    Ok(quantile_sorted(&sorted, q))
-}
-
-/// Quantile of an already-sorted slice (ascending). No validation is performed.
-fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
-    let n = sorted.len();
+    let n = values.len();
     if n == 1 {
-        return sorted[0];
+        return Ok(values[0]);
     }
     let pos = q * (n - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
+    // Select the order statistic at `lo`; the one at `hi = lo + 1` is then
+    // the least value to its right.  Only these two are ever read, so no
+    // sort is needed.
+    let mut scratch = values.to_vec();
+    let (_, lo_value, above) = scratch.select_nth_unstable_by(lo, f64::total_cmp);
+    let lo_value = sorted_value_at(values, lo, *lo_value);
     if lo == hi {
-        sorted[lo]
-    } else {
-        let frac = pos - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+        return Ok(lo_value);
     }
+    let hi_value = above.iter().copied().fold(f64::INFINITY, f64::min);
+    let hi_value = sorted_value_at(values, hi, hi_value);
+    let frac = pos - lo as f64;
+    Ok(lo_value * (1.0 - frac) + hi_value * frac)
+}
+
+/// The element a stable ascending sort of `values` would place at
+/// `position`, given that element's `value`.
+///
+/// Equal non-zero values have equal bits, so `value` is that element —
+/// except for a zero: the stable sort treats `-0.0` and `+0.0` as equal and
+/// keeps them in input order, so the zero at `position` is the
+/// `(position − #negatives)`-th zero of the input.
+fn sorted_value_at(values: &[f64], position: usize, value: f64) -> f64 {
+    if value != 0.0 {
+        return value;
+    }
+    let negatives = values.iter().filter(|&&v| v < 0.0).count();
+    values
+        .iter()
+        .copied()
+        .filter(|&v| v == 0.0)
+        .nth(position - negatives)
+        .expect("the selected zero is one of the input's zeros")
 }
 
 /// Returns the rank vector of the input using average ranks for ties
@@ -172,6 +201,38 @@ pub fn rank_with_ties(values: &[f64]) -> StatsResult<Vec<f64>> {
         i = j + 1;
     }
     Ok(ranks)
+}
+
+/// The ranks of [`rank_with_ties`], read off rows already ordered by
+/// non-increasing value instead of sorted again.
+///
+/// `descending` holds every row index `0..n` exactly once, each through
+/// `row`, ordered so that the rows' values never increase; `same(a, b)`
+/// tells whether two neighbours hold equal values.  Equal values are
+/// contiguous in any such order, so a tie group sits at descending positions
+/// `a..=b`, which are ascending positions `n-1-b ..= n-1-a`, and gets
+/// `((n-1-b) + (n-1-a)) / 2 + 1` — bit for bit the rank `rank_with_ties`
+/// assigns it.  O(n), no validation.
+pub fn tie_averaged_ranks<T>(
+    descending: &[T],
+    row: impl Fn(&T) -> usize,
+    same: impl Fn(&T, &T) -> bool,
+) -> Vec<f64> {
+    let n = descending.len();
+    let mut ranks = vec![0.0; n];
+    let mut a = 0;
+    while a < n {
+        let mut b = a;
+        while b + 1 < n && same(&descending[b], &descending[b + 1]) {
+            b += 1;
+        }
+        let avg = ((n - 1 - b) + (n - 1 - a)) as f64 / 2.0 + 1.0;
+        for item in &descending[a..=b] {
+            ranks[row(item)] = avg;
+        }
+        a = b + 1;
+    }
+    ranks
 }
 
 /// The per-attribute statistics reported by the detailed Recipe and
@@ -238,9 +299,100 @@ fn ensure_finite(values: &[f64], operation: &'static str) -> StatsResult<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-10, "{a} != {b}");
+    }
+
+    /// The sort-based quantile that selection replaced: the oracle.
+    fn quantile_by_sort(values: &[f64], q: f64) -> f64 {
+        let mut sorted = values.to_vec();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
+        let n = sorted.len();
+        if n == 1 {
+            return sorted[0];
+        }
+        let pos = q * (n - 1) as f64;
+        let lo = pos.floor() as usize;
+        let hi = pos.ceil() as usize;
+        if lo == hi {
+            sorted[lo]
+        } else {
+            let frac = pos - lo as f64;
+            sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+        }
+    }
+
+    const LEVELS: [f64; 7] = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0];
+
+    #[test]
+    fn quantile_matches_the_sort_on_every_small_input() {
+        // Every sequence of length 1..=5 over a pool with ties and both
+        // zeros, at several levels: the bits of the selected value, signed
+        // zeros included, must be the sort's.
+        let pool = [-1.5, -0.0, 0.0, 2.0];
+        for n in 1..=5usize {
+            for code in 0..pool.len().pow(n as u32) {
+                let values: Vec<f64> = (0..n)
+                    .map(|i| pool[code / pool.len().pow(i as u32) % pool.len()])
+                    .collect();
+                for q in LEVELS {
+                    assert_eq!(
+                        quantile(&values, q).unwrap().to_bits(),
+                        quantile_by_sort(&values, q).to_bits(),
+                        "{values:?} at {q}"
+                    );
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn quantile_matches_the_sort(
+            values in prop::collection::vec(
+                (0usize..8, -1.0e6f64..1.0e6).prop_map(|(pick, x)| match pick {
+                    0 => -0.0,
+                    1 => 0.0,
+                    2 => 1.0,
+                    3 => -3.25,
+                    _ => x,
+                }),
+                1..5_000,
+            ),
+            q in 0.0f64..=1.0,
+        ) {
+            for level in LEVELS.iter().copied().chain([q]) {
+                prop_assert_eq!(
+                    quantile(&values, level).unwrap().to_bits(),
+                    quantile_by_sort(&values, level).to_bits()
+                );
+            }
+            prop_assert_eq!(
+                median(&values).unwrap().to_bits(),
+                quantile_by_sort(&values, 0.5).to_bits()
+            );
+        }
+
+        #[test]
+        fn tie_averaged_ranks_match_rank_with_ties(
+            values in prop::collection::vec(
+                (0usize..6).prop_map(|pick| [-2.0, -0.0, 0.0, 0.5, 3.0, 7.0][pick]),
+                1..300,
+            ),
+        ) {
+            let mut descending: Vec<usize> = (0..values.len()).collect();
+            descending.sort_by(|&a, &b| values[b].partial_cmp(&values[a]).unwrap());
+            let ranks = tie_averaged_ranks(&descending, |&row| row, |&a, &b| values[a] == values[b]);
+            let reference = rank_with_ties(&values).unwrap();
+            prop_assert_eq!(
+                ranks.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
+                reference.iter().map(|r| r.to_bits()).collect::<Vec<_>>()
+            );
+        }
     }
 
     #[test]

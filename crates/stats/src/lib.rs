@@ -37,8 +37,10 @@ pub mod histogram;
 pub mod hypothesis;
 pub mod regression;
 
-pub use correlation::{kendall_tau, pearson, spearman};
-pub use descriptive::{max, mean, median, min, quantile, stddev, variance, Summary};
+pub use correlation::{kendall_tau, pearson, spearman, spearman_with_ranks};
+pub use descriptive::{
+    max, mean, median, min, quantile, stddev, tie_averaged_ranks, variance, Summary,
+};
 pub use distributions::{
     binomial_cdf, binomial_pmf, binomial_quantile, normal_cdf, normal_pdf, normal_quantile,
 };

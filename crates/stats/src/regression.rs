@@ -164,18 +164,25 @@ impl MultipleRegression {
         let dim = p + 1;
         let mut xtx = vec![vec![0.0; dim]; dim];
         let mut xty = vec![0.0; dim];
+        // Design row [1, x1, x2, ..., xp], one buffer refilled per row.
+        let mut design = vec![1.0; dim];
         for row in 0..n {
-            // Design row: [1, x1, x2, ..., xp].
-            let mut design = Vec::with_capacity(dim);
-            design.push(1.0);
-            for col in columns {
-                design.push(col[row]);
+            for (slot, col) in design[1..].iter_mut().zip(columns) {
+                *slot = col[row];
             }
             for i in 0..dim {
                 xty[i] += design[i] * y[row];
-                for j in 0..dim {
+                for j in i..dim {
                     xtx[i][j] += design[i] * design[j];
                 }
+            }
+        }
+        // XᵀX is symmetric, and `a · b == b · a` exactly in IEEE
+        // arithmetic, so the lower triangle is the upper one, bit for bit.
+        for i in 1..dim {
+            let (upper, lower) = xtx.split_at_mut(i);
+            for (j, row) in upper.iter().enumerate() {
+                lower[0][j] = row[i];
             }
         }
 
@@ -288,6 +295,50 @@ mod tests {
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-8, "{a} != {b}");
+    }
+
+    /// The coefficients of the per-row-allocating, full-square
+    /// accumulation the buffered one replaced: the oracle.
+    fn coefficients_by_full_square(columns: &[Vec<f64>], y: &[f64]) -> Vec<f64> {
+        let dim = columns.len() + 1;
+        let mut xtx = vec![vec![0.0; dim]; dim];
+        let mut xty = vec![0.0; dim];
+        for row in 0..y.len() {
+            let mut design = Vec::with_capacity(dim);
+            design.push(1.0);
+            for col in columns {
+                design.push(col[row]);
+            }
+            for i in 0..dim {
+                xty[i] += design[i] * y[row];
+                for j in 0..dim {
+                    xtx[i][j] += design[i] * design[j];
+                }
+            }
+        }
+        solve_linear_system(&mut xtx, &mut xty).unwrap()
+    }
+
+    #[test]
+    fn multiple_regression_matches_the_full_square_bit_for_bit() {
+        // Irrational-looking, correlated columns so every product rounds.
+        let n = 257;
+        let columns: Vec<Vec<f64>> = (1..=4)
+            .map(|c| {
+                (0..n)
+                    .map(|i| ((i * c) as f64 * 0.731).sin() * 3.3 + (i as f64).sqrt() / c as f64)
+                    .collect()
+            })
+            .collect();
+        let y: Vec<f64> = (0..n)
+            .map(|i| columns[0][i] * 0.4 - columns[2][i] * 1.7 + (i as f64 * 0.17).cos())
+            .collect();
+        let fit = MultipleRegression::fit(&columns, &y).unwrap();
+        let reference = coefficients_by_full_square(&columns, &y);
+        assert_eq!(fit.intercept.to_bits(), reference[0].to_bits());
+        for (got, want) in fit.coefficients.iter().zip(&reference[1..]) {
+            assert_eq!(got.to_bits(), want.to_bits());
+        }
     }
 
     #[test]

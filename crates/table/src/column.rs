@@ -7,6 +7,7 @@
 
 use crate::error::{TableError, TableResult};
 use crate::schema::ColumnType;
+use std::borrow::Cow;
 
 /// A single cell value, used by row-oriented accessors and the CSV layer.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -188,9 +189,18 @@ impl Column {
     /// # Errors
     /// [`TableError::TypeMismatch`] when the column is not numeric.
     pub fn numeric_options(&self, name: &str) -> TableResult<Vec<Option<f64>>> {
+        Ok(self.numeric_view(name)?.iter().collect())
+    }
+
+    /// Borrowed form of [`Column::numeric_options`]: the same row-aligned
+    /// values, read in place instead of copied.
+    ///
+    /// # Errors
+    /// [`TableError::TypeMismatch`] when the column is not numeric.
+    pub fn numeric_view(&self, name: &str) -> TableResult<NumericView<'_>> {
         match self {
-            Column::Float(v) => Ok(v.clone()),
-            Column::Int(v) => Ok(v.iter().map(|x| x.map(|i| i as f64)).collect()),
+            Column::Float(v) => Ok(NumericView::Float(v)),
+            Column::Int(v) => Ok(NumericView::Int(v)),
             other => Err(TableError::TypeMismatch {
                 name: name.to_string(),
                 expected: "a numeric column",
@@ -207,10 +217,23 @@ impl Column {
     /// # Errors
     /// [`TableError::TypeMismatch`] when the column is a float column.
     pub fn categorical_labels(&self, name: &str) -> TableResult<Vec<Option<String>>> {
+        Ok(self
+            .categorical_view(name)?
+            .iter()
+            .map(|label| label.map(Cow::into_owned))
+            .collect())
+    }
+
+    /// Borrowed form of [`Column::categorical_labels`]: the same labels,
+    /// with string cells read in place instead of cloned.
+    ///
+    /// # Errors
+    /// [`TableError::TypeMismatch`] when the column is a float column.
+    pub fn categorical_view(&self, name: &str) -> TableResult<CategoricalView<'_>> {
         match self {
-            Column::Str(v) => Ok(v.clone()),
-            Column::Bool(v) => Ok(v.iter().map(|x| x.map(|b| b.to_string())).collect()),
-            Column::Int(v) => Ok(v.iter().map(|x| x.map(|i| i.to_string())).collect()),
+            Column::Str(v) => Ok(CategoricalView::Str(v)),
+            Column::Bool(v) => Ok(CategoricalView::Bool(v)),
+            Column::Int(v) => Ok(CategoricalView::Int(v)),
             Column::Float(_) => Err(TableError::TypeMismatch {
                 name: name.to_string(),
                 expected: "a categorical column",
@@ -285,9 +308,109 @@ impl Column {
     }
 }
 
+/// A numeric column read in place: row `i` is `Some(value as f64)`, or
+/// `None` where the cell is missing.
+#[derive(Debug, Clone, Copy)]
+pub enum NumericView<'a> {
+    /// A float column's cells.
+    Float(&'a [Option<f64>]),
+    /// An integer column's cells, widened to `f64` on read.
+    Int(&'a [Option<i64>]),
+}
+
+impl<'a> NumericView<'a> {
+    /// Number of rows.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        match self {
+            NumericView::Float(v) => v.len(),
+            NumericView::Int(v) => v.len(),
+        }
+    }
+
+    /// `true` when the column has no rows.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The value at `row`, `None` where missing.
+    ///
+    /// # Panics
+    /// When `row >= len()`.
+    #[inline]
+    #[must_use]
+    pub fn get(&self, row: usize) -> Option<f64> {
+        match self {
+            NumericView::Float(v) => v[row],
+            NumericView::Int(v) => v[row].map(|i| i as f64),
+        }
+    }
+
+    /// Every row's value, in row order.
+    pub fn iter(&self) -> impl Iterator<Item = Option<f64>> + 'a {
+        let view = *self;
+        (0..view.len()).map(move |row| view.get(row))
+    }
+}
+
+/// A categorical column read in place: row `i` is its label — a string
+/// cell borrowed, `"true"`/`"false"` for a boolean, an integer's decimal
+/// form — or `None` where the cell is missing.
+#[derive(Debug, Clone, Copy)]
+pub enum CategoricalView<'a> {
+    /// A string column's cells.
+    Str(&'a [Option<String>]),
+    /// A boolean column's cells.
+    Bool(&'a [Option<bool>]),
+    /// An integer column's cells.
+    Int(&'a [Option<i64>]),
+}
+
+impl<'a> CategoricalView<'a> {
+    /// Number of rows.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        match self {
+            CategoricalView::Str(v) => v.len(),
+            CategoricalView::Bool(v) => v.len(),
+            CategoricalView::Int(v) => v.len(),
+        }
+    }
+
+    /// `true` when the column has no rows.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The label at `row`, `None` where missing.  Only an integer label is
+    /// allocated.
+    ///
+    /// # Panics
+    /// When `row >= len()`.
+    #[must_use]
+    pub fn get(&self, row: usize) -> Option<Cow<'a, str>> {
+        match self {
+            CategoricalView::Str(v) => v[row].as_deref().map(Cow::Borrowed),
+            CategoricalView::Bool(v) => {
+                v[row].map(|b| Cow::Borrowed(if b { "true" } else { "false" }))
+            }
+            CategoricalView::Int(v) => v[row].map(|i| Cow::Owned(i.to_string())),
+        }
+    }
+
+    /// Every row's label, in row order.
+    pub fn iter(&self) -> impl Iterator<Item = Option<Cow<'a, str>>> + 'a {
+        let view = *self;
+        (0..view.len()).map(move |row| view.get(row))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn value_numeric_conversion() {
@@ -382,6 +505,78 @@ mod tests {
         );
         let col = Column::from_f64(vec![1.0]);
         assert!(col.categorical_labels("Score").is_err());
+    }
+
+    /// The copying accessor the views replaced on the label path: the
+    /// oracle for [`Column::categorical_view`].
+    fn categorical_labels_by_copy(column: &Column) -> Option<Vec<Option<String>>> {
+        match column {
+            Column::Str(v) => Some(v.clone()),
+            Column::Bool(v) => Some(v.iter().map(|x| x.map(|b| b.to_string())).collect()),
+            Column::Int(v) => Some(v.iter().map(|x| x.map(|i| i.to_string())).collect()),
+            Column::Float(_) => None,
+        }
+    }
+
+    /// A column of `kind` (0 string, 1 bool, 2 int, 3 float) whose cells
+    /// come from `cells`: a `0` is a missing cell.
+    fn column_of(kind: usize, cells: &[(usize, i64)]) -> Column {
+        let cell = |&(present, value): &(usize, i64)| (present != 0).then_some(value);
+        match kind {
+            0 => Column::Str(
+                cells
+                    .iter()
+                    .map(|c| cell(c).map(|v| format!("c{v}")))
+                    .collect(),
+            ),
+            1 => Column::Bool(cells.iter().map(|c| cell(c).map(|v| v % 2 == 0)).collect()),
+            2 => Column::Int(cells.iter().map(cell).collect()),
+            _ => Column::Float(
+                cells
+                    .iter()
+                    .map(|c| cell(c).map(|v| v as f64 / 4.0))
+                    .collect(),
+            ),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn views_read_what_the_copying_accessors_return(
+            kind in 0usize..4,
+            cells in prop::collection::vec((0usize..4, -20i64..20), 0..200),
+        ) {
+            let column = column_of(kind, &cells);
+            match categorical_labels_by_copy(&column) {
+                Some(reference) => {
+                    let view = column.categorical_view("c").unwrap();
+                    prop_assert_eq!(view.len(), reference.len());
+                    for (row, want) in reference.iter().enumerate() {
+                        let label = view.get(row);
+                        prop_assert_eq!(label.as_deref(), want.as_deref());
+                    }
+                    let collected: Vec<Option<String>> =
+                        view.iter().map(|l| l.map(|l| l.into_owned())).collect();
+                    prop_assert_eq!(&collected, &reference);
+                    prop_assert_eq!(&column.categorical_labels("c").unwrap(), &reference);
+                }
+                None => prop_assert!(column.categorical_view("c").is_err()),
+            }
+            match column.numeric_view("n") {
+                Ok(view) => {
+                    let reference: Vec<Option<f64>> = match &column {
+                        Column::Float(v) => v.clone(),
+                        Column::Int(v) => v.iter().map(|x| x.map(|i| i as f64)).collect(),
+                        _ => unreachable!("only numeric columns have a numeric view"),
+                    };
+                    prop_assert_eq!(view.iter().collect::<Vec<_>>(), reference.clone());
+                    prop_assert_eq!(column.numeric_options("n").unwrap(), reference);
+                }
+                Err(_) => prop_assert!(kind < 2),
+            }
+        }
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub mod schema;
 pub mod stats;
 pub mod table;
 
-pub use column::{Column, Value};
+pub use column::{CategoricalView, Column, NumericView, Value};
 pub use csv::{read_csv_str, write_csv_string, CsvOptions};
 pub use error::{TableError, TableResult};
 pub use fingerprint::Fingerprinter;

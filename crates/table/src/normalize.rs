@@ -131,18 +131,38 @@ impl Normalizer {
     /// # Errors
     /// [`TableError::UnknownColumn`] when the column was not part of the fit.
     pub fn transform_value(&self, column: &str, value: f64) -> TableResult<f64> {
-        let p = self
-            .params
+        let p = self.params_of(column)?;
+        Ok(self.apply(p, value))
+    }
+
+    /// The named column's transformation, with its parameters looked up
+    /// once: `column_transform(column)?(v)` equals
+    /// `transform_value(column, v)?` for every `v`.  Use it to transform a
+    /// whole column.
+    ///
+    /// # Errors
+    /// [`TableError::UnknownColumn`] when the column was not part of the fit.
+    pub fn column_transform(&self, column: &str) -> TableResult<impl Fn(f64) -> f64 + '_> {
+        let p = self.params_of(column)?;
+        Ok(move |value| self.apply(p, value))
+    }
+
+    fn params_of(&self, column: &str) -> TableResult<&ColumnParams> {
+        self.params
             .iter()
             .find(|p| p.name == column)
             .ok_or_else(|| TableError::UnknownColumn {
                 name: column.to_string(),
-            })?;
-        Ok(match self.method {
+            })
+    }
+
+    #[inline]
+    fn apply(&self, p: &ColumnParams, value: f64) -> f64 {
+        match self.method {
             NormalizationMethod::None => value,
             NormalizationMethod::MinMax => (value - p.a) / (p.b - p.a),
             NormalizationMethod::ZScore => (value - p.a) / p.b,
-        })
+        }
     }
 
     /// Returns a new table in which every fitted column has been replaced by
@@ -157,11 +177,11 @@ impl Normalizer {
         for field in table.schema().fields() {
             let name = field.name.as_str();
             let col = table.column(name)?;
-            if self.params.iter().any(|p| p.name == name) {
-                let options = col.numeric_options(name)?;
-                let transformed: Vec<Option<f64>> = options
-                    .into_iter()
-                    .map(|opt| opt.map(|v| self.transform_value(name, v).expect("fitted column")))
+            if let Ok(transform) = self.column_transform(name) {
+                let transformed: Vec<Option<f64>> = col
+                    .numeric_view(name)?
+                    .iter()
+                    .map(|opt| opt.map(&transform))
                     .collect();
                 out.add_column(name, crate::column::Column::Float(transformed))?;
             } else {

@@ -6,7 +6,7 @@
 //! name, row slicing (top-k vs. over-all), filtering, sorting by a computed
 //! score, and previewing.
 
-use crate::column::{Column, Value};
+use crate::column::{CategoricalView, Column, NumericView, Value};
 use crate::error::{TableError, TableResult};
 use crate::schema::{ColumnType, Field, Schema};
 use std::sync::Arc;
@@ -167,12 +167,30 @@ impl Table {
         self.column(name)?.numeric_options(name)
     }
 
+    /// Row-aligned numeric values of a column, read in place
+    /// ([`Table::numeric_column_options`] without the copy).
+    ///
+    /// # Errors
+    /// Unknown column or non-numeric column.
+    pub fn numeric_view(&self, name: &str) -> TableResult<NumericView<'_>> {
+        self.column(name)?.numeric_view(name)
+    }
+
     /// Row-aligned categorical labels of a column (`None` where missing).
     ///
     /// # Errors
     /// Unknown column or float column.
     pub fn categorical_column(&self, name: &str) -> TableResult<Vec<Option<String>>> {
         self.column(name)?.categorical_labels(name)
+    }
+
+    /// Row-aligned categorical labels of a column, read in place
+    /// ([`Table::categorical_column`] without cloning every string).
+    ///
+    /// # Errors
+    /// Unknown column or float column.
+    pub fn categorical_view(&self, name: &str) -> TableResult<CategoricalView<'_>> {
+        self.column(name)?.categorical_view(name)
     }
 
     /// The full row at `index` as `(column name, value)` pairs.

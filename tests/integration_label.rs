@@ -85,10 +85,11 @@ fn recipe_weights_sum_to_one_after_normalization() {
 fn recipe_details_cover_top_k_and_overall() {
     let label = cs_label();
     for detail in &label.recipe.details {
-        assert_eq!(detail.top_k.count, 10);
+        let top_k = detail.top_k.as_ref().unwrap();
+        assert_eq!(top_k.count, 10);
         assert_eq!(detail.overall.count, 97);
-        assert!(detail.top_k.min >= detail.overall.min - 1e-9);
-        assert!(detail.top_k.max <= detail.overall.max + 1e-9);
+        assert!(top_k.min >= detail.overall.min - 1e-9);
+        assert!(top_k.max <= detail.overall.max + 1e-9);
     }
 }
 
@@ -260,4 +261,77 @@ fn label_size_guard_text_and_html_renders_are_unchanged() {
         assert_eq!(digest(&label.to_text()), text_digest, "{slug} text");
         assert_eq!(digest(&label.to_html()), html_digest, "{slug} html");
     }
+}
+
+/// 40 rows ranked by `quality` (row 0 best); `aux` is the row number, but
+/// missing on the 10 best rows.
+fn aux_missing_at_the_top() -> Table {
+    let quality: Vec<f64> = (0..40).map(|i| 100.0 - f64::from(i)).collect();
+    let aux: Vec<Option<f64>> = (0..40).map(|i| (i >= 10).then(|| f64::from(i))).collect();
+    Table::from_columns(vec![
+        ("quality", rf_table::Column::from_f64(quality)),
+        ("aux", rf_table::Column::Float(aux)),
+    ])
+    .unwrap()
+}
+
+#[test]
+fn ingredient_without_top_k_values_has_no_top_k_summary() {
+    // Both numeric columns are listed ingredients; `aux` has values, just
+    // none among the top-10, so its top-k detail is absent, not an error.
+    let config = LabelConfig::new(ScoringFunction::from_pairs([("quality", 1.0)]).unwrap())
+        .with_top_k(10)
+        .with_ingredient_count(2);
+    let label = NutritionalLabel::generate(&aux_missing_at_the_top(), &config).unwrap();
+    let detail = |name: &str| {
+        label
+            .ingredients
+            .details
+            .iter()
+            .find(|d| d.attribute == name)
+            .unwrap()
+    };
+    assert_eq!(detail("aux").top_k, None);
+    assert_eq!(detail("aux").overall.count, 30);
+    assert_eq!(detail("quality").top_k.as_ref().unwrap().count, 10);
+}
+
+#[test]
+fn recipe_attribute_without_top_k_values_renders_n_a() {
+    // `aux` is also in the Recipe (mean-imputed for scoring): the renderers
+    // print "n/a" for its top-k statistics, and the JSON carries a null that
+    // reads back as the same label.  No Monte-Carlo trials: their weight
+    // jitter scores under the default policy, which rejects missing values.
+    let scoring = ScoringFunction::from_pairs([("quality", 0.9), ("aux", 0.1)])
+        .unwrap()
+        .with_missing_policy(rf_ranking::MissingValuePolicy::MeanImpute);
+    let config = LabelConfig::new(scoring)
+        .with_top_k(10)
+        .with_ingredient_count(2)
+        .with_monte_carlo_trials(0);
+    let label = NutritionalLabel::generate(&aux_missing_at_the_top(), &config).unwrap();
+    assert_eq!(
+        label
+            .top_k_rows
+            .iter()
+            .map(|r| r.row_index)
+            .collect::<Vec<_>>(),
+        (0..10).collect::<Vec<_>>()
+    );
+    let aux = &label.recipe.details[1];
+    assert_eq!(aux.attribute, "aux");
+    assert_eq!(aux.top_k, None);
+    assert!(label.recipe.details[0].top_k.is_some());
+    let text = label.to_text();
+    assert!(
+        text.lines()
+            .any(|l| l.starts_with("aux ") && l.contains("top-k: n/a | all: min 10.00")),
+        "{text}"
+    );
+    assert!(label.to_html().contains("<tr><td>aux</td><td>n/a</td>"));
+    let json = label.to_json().unwrap();
+    let value: serde_json::Value = serde_json::from_str(&json).unwrap();
+    assert!(value["recipe"]["details"][1]["top_k"].is_null());
+    let parsed: NutritionalLabel = serde_json::from_str(&json).unwrap();
+    assert_eq!(parsed, label);
 }

@@ -48,7 +48,7 @@ fn cs_departments_scenario_reproduces_figure1_findings() {
         .iter()
         .find(|d| d.attribute == "GRE")
         .unwrap();
-    let median_gap = (gre_detail.top_k.median - gre_detail.overall.median).abs();
+    let median_gap = (gre_detail.top_k.as_ref().unwrap().median - gre_detail.overall.median).abs();
     assert!(
         median_gap < 0.25 * gre_detail.overall.range(),
         "GRE median should be similar in the top-10 and over-all (gap {median_gap})"
