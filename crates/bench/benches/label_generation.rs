@@ -1,6 +1,7 @@
 //! End-to-end label generation cost (the Figure 1 pipeline) as the dataset
-//! grows, plus the three demonstration scenarios at their paper sizes and a
-//! parallel-versus-sequential schedule comparison of the analysis pipeline.
+//! grows, plus the three demonstration scenarios at their paper sizes, a
+//! parallel-versus-sequential schedule comparison of the analysis pipeline,
+//! and one preparation amortized over a sweep of `k` values.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rf_bench::{compas_scenario, cs_label_config, cs_table_with_rows, german_credit_scenario};
@@ -110,6 +111,46 @@ fn pipeline_schedules(c: &mut Criterion) {
     group.finish();
 }
 
+/// One preparation amortized over a sweep of `k` values versus one
+/// preparation per `k` — the batching win for dashboards that show several
+/// prefix sizes of the same ranking.
+fn sweep_amortization(c: &mut Criterion) {
+    let mut group = c.benchmark_group("label_generation/k_sweep");
+    group.sample_size(10);
+    let pipeline = AnalysisPipeline::new();
+    let ks = [5usize, 10, 20, 50];
+    let table = Arc::new(cs_table_with_rows(10_000));
+    let config = Arc::new(cs_label_config());
+    group.bench_function("generate_sweep", |b| {
+        b.iter(|| {
+            pipeline
+                .generate_sweep(
+                    black_box(Arc::clone(&table)),
+                    black_box(Arc::clone(&config)),
+                    black_box(&ks),
+                )
+                .expect("sweep")
+        });
+    });
+    group.bench_function("independent_generates", |b| {
+        b.iter(|| {
+            let labels: Vec<_> = ks
+                .iter()
+                .map(|&k| {
+                    pipeline
+                        .generate(
+                            black_box(Arc::clone(&table)),
+                            Arc::new(rf_core::LabelConfig::clone(&config).with_top_k(k)),
+                        )
+                        .expect("label")
+                })
+                .collect();
+            black_box(labels.len())
+        });
+    });
+    group.finish();
+}
+
 fn label_rendering(c: &mut Criterion) {
     let mut group = c.benchmark_group("label_rendering");
     let table = Arc::new(cs_table_with_rows(97));
@@ -126,6 +167,7 @@ criterion_group!(
     label_generation_scaling,
     label_generation_scenarios,
     pipeline_schedules,
+    sweep_amortization,
     label_rendering
 );
 criterion_main!(benches);

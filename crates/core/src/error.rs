@@ -30,11 +30,11 @@ pub enum LabelError {
         /// Description of the problem.
         message: String,
     },
-    /// A pipeline job (widget builder or preparation shard) panicked on the
-    /// worker pool.  The job's other siblings still completed; the name says
-    /// exactly which stage failed.
+    /// A pipeline job (a widget builder, or the single-flight leader a
+    /// waiter was blocked on) panicked.  A builder's siblings still
+    /// completed; the name says exactly which job failed.
     WidgetPanic {
-        /// Name of the widget builder or preparation stage that panicked.
+        /// Name of the widget builder or job that panicked.
         widget: String,
     },
 }

@@ -11,12 +11,10 @@
 //!    computes the shared intermediates exactly once: the ranking induced by
 //!    the Recipe, the min-max-normalized score matrix of the scoring
 //!    attributes (in rank order, for the Stability widget), and the
-//!    protected-group membership vectors (for the Fairness widget).  Under
-//!    the parallel schedule, preparation itself fans out over the shared
-//!    `rf-runtime` work-stealing scheduler: row scoring is sharded with
-//!    [`rf_runtime::Scheduler::map_shards`] (deterministic shard merge, so
-//!    the scores are byte-identical to a single sequential pass) and each
-//!    protected group extracts as its own job.
+//!    protected-group membership vectors (for the Fairness widget).
+//!    Preparation runs on the calling thread under either schedule: sharding
+//!    row scoring over the pool bought no measurable latency at any table
+//!    size, so there is one preparation path.
 //! 2. **Render** ([`AnalysisPipeline::render`]) — each widget is a
 //!    [`WidgetBuilder`] reading the immutable context; the pipeline schedules
 //!    all builders concurrently as a scheduler scope (or serially, for the
@@ -147,8 +145,7 @@ pub struct AnalysisContext {
 
 impl AnalysisContext {
     /// Validates the configuration and computes every shared intermediate on
-    /// the calling thread — the sequential reference the sharded preparation
-    /// is compared against.
+    /// the calling thread.
     ///
     /// # Errors
     /// Configuration validation errors, ranking errors, fairness group
@@ -164,89 +161,6 @@ impl AnalysisContext {
                 protected_value,
             )?);
         }
-        let normalized_scoring =
-            rf_stability::normalized_values_in_rank_order(&table, &config.scoring, &ranking)?;
-        Ok(AnalysisContext {
-            table,
-            config,
-            ranking,
-            protected_groups,
-            normalized_scoring,
-        })
-    }
-
-    /// Validates the configuration and computes the shared intermediates with
-    /// the expensive row-wise work fanned out over `pool`: scoring runs as
-    /// row shards (merged deterministically in shard order, so the resulting
-    /// ranking is byte-identical to [`AnalysisContext::prepare`]) and each
-    /// protected group extracts as its own job.  Errors surface in the same
-    /// order the sequential path reports them.
-    ///
-    /// # Errors
-    /// Same as [`AnalysisContext::prepare`], plus
-    /// [`LabelError::WidgetPanic`] naming the preparation stage when a shard
-    /// or group job panics on the pool.
-    pub fn prepare_with_pool(
-        table: Arc<Table>,
-        config: Arc<LabelConfig>,
-        pool: &rf_runtime::ThreadPool,
-    ) -> LabelResult<Self> {
-        config.validate(&table)?;
-
-        // Row-shard scoring: fit once, score disjoint ranges as a scheduler
-        // scope, merge in shard order.  Scanning shards in order also
-        // surfaces the first failing row exactly like the sequential pass
-        // does.
-        let scheduler = pool.scheduler();
-        let model = Arc::new(config.scoring.fit(&table)?);
-        let rows = model.rows();
-        let shard_results = {
-            let model = Arc::clone(&model);
-            scheduler.map_shards(rows, 0, move |range| model.score_range(range))
-        };
-        let mut scores: Vec<f64> = Vec::with_capacity(rows);
-        for (shard, slot) in shard_results.into_iter().enumerate() {
-            match slot {
-                Some(Ok(chunk)) => scores.extend(chunk),
-                Some(Err(err)) => return Err(err.into()),
-                None => {
-                    return Err(LabelError::WidgetPanic {
-                        widget: format!("scoring shard {shard}"),
-                    })
-                }
-            }
-        }
-        let ranking = Ranking::from_scores(&scores)?;
-
-        // Group extraction: one job per audited protected feature, results
-        // (and errors) consumed in configuration order.
-        let features: Vec<(String, String)> = config
-            .protected_features()
-            .into_iter()
-            .map(|(attribute, value)| (attribute.to_string(), value.to_string()))
-            .collect();
-        let group_jobs: Vec<_> = features
-            .iter()
-            .map(|(attribute, value)| {
-                let table = Arc::clone(&table);
-                let attribute = attribute.clone();
-                let value = value.clone();
-                move || ProtectedGroup::from_table(&table, &attribute, &value)
-            })
-            .collect();
-        let mut protected_groups = Vec::with_capacity(features.len());
-        for (slot, (attribute, value)) in scheduler.run_all(group_jobs).into_iter().zip(features) {
-            match slot {
-                Some(Ok(group)) => protected_groups.push(group),
-                Some(Err(err)) => return Err(err.into()),
-                None => {
-                    return Err(LabelError::WidgetPanic {
-                        widget: format!("fairness group `{attribute}={value}`"),
-                    })
-                }
-            }
-        }
-
         let normalized_scoring =
             rf_stability::normalized_values_in_rank_order(&table, &config.scoring, &ranking)?;
         Ok(AnalysisContext {
@@ -599,15 +513,16 @@ fn builders(
 /// How the pipeline schedules its work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Schedule {
-    /// Fan out across the shared `rf-runtime` pool (the default).
+    /// Fan the widget builders and Monte-Carlo batches out across an
+    /// `rf-runtime` pool (the default).
     Parallel,
-    /// Prepare and build one step after another on the calling thread — the
-    /// reference path the parity tests compare against.
+    /// Build one widget after another on the calling thread — the reference
+    /// path the parity tests compare against.
     Sequential,
 }
 
-/// Generates nutritional labels by fanning preparation shards and widget
-/// builders out over the shared [`rf_runtime`] pool.
+/// Generates nutritional labels: prepares the context on the calling thread,
+/// then fans the widget builders out over an [`rf_runtime`] pool.
 #[derive(Debug, Clone)]
 pub struct AnalysisPipeline {
     schedule: Schedule,
@@ -691,12 +606,11 @@ impl AnalysisPipeline {
     }
 
     /// **Stage 1** — validates the configuration and computes the shared
-    /// intermediates (ranking, protected groups, normalized score matrix),
-    /// sharded over the pool under the parallel schedule.
+    /// intermediates (ranking, protected groups, normalized score matrix) on
+    /// the calling thread, under either schedule.
     ///
     /// # Errors
-    /// Validation, ranking, group extraction, or normalization errors;
-    /// [`LabelError::WidgetPanic`] when a preparation job panics.
+    /// Validation, ranking, group extraction, or normalization errors.
     pub fn prepare(
         &self,
         table: Arc<Table>,
@@ -704,12 +618,7 @@ impl AnalysisPipeline {
     ) -> LabelResult<Arc<AnalysisContext>> {
         self.metrics.preparations.fetch_add(1, Ordering::Relaxed);
         let started = std::time::Instant::now();
-        let ctx = match self.schedule {
-            Schedule::Sequential => AnalysisContext::prepare(table, config)?,
-            Schedule::Parallel => {
-                AnalysisContext::prepare_with_pool(table, config, self.pool_ref())?
-            }
-        };
+        let ctx = AnalysisContext::prepare(table, config)?;
         self.metrics
             .record(rf_obs::Stage::Prepare, started.elapsed());
         Ok(Arc::new(ctx))
@@ -942,35 +851,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_preparation_matches_the_sequential_reference() {
-        let (table, config) = scenario();
-        let sequential = AnalysisContext::prepare(Arc::clone(&table), Arc::clone(&config)).unwrap();
-        let pool = rf_runtime::ThreadPool::new(3);
-        let sharded = AnalysisContext::prepare_with_pool(table, config, &pool).unwrap();
-        assert_eq!(sequential.ranking, sharded.ranking);
-        assert_eq!(sequential.protected_groups, sharded.protected_groups);
-        assert_eq!(sequential.normalized_scoring, sharded.normalized_scoring);
-    }
-
-    #[test]
-    fn sharded_preparation_surfaces_row_errors_like_the_sequential_pass() {
-        // A missing value in the scoring column errors with the same
-        // (attribute, row) under both preparation paths.
-        let mut quality: Vec<Option<f64>> = (0..40).map(|i| Some(100.0 - i as f64)).collect();
-        quality[17] = None;
-        let table =
-            Arc::new(Table::from_columns(vec![("Quality", Column::Float(quality))]).unwrap());
-        let scoring = ScoringFunction::from_pairs([("Quality", 1.0)]).unwrap();
-        let config = Arc::new(LabelConfig::new(scoring).with_top_k(5));
-        let sequential =
-            AnalysisContext::prepare(Arc::clone(&table), Arc::clone(&config)).unwrap_err();
-        let pool = rf_runtime::ThreadPool::new(4);
-        let sharded = AnalysisContext::prepare_with_pool(table, config, &pool).unwrap_err();
-        assert_eq!(sequential, sharded);
-        assert!(sharded.to_string().contains("row 17"));
-    }
-
-    #[test]
     fn preparation_counter_moves_once_per_prepare() {
         let (table, config) = scenario();
         let pipeline = AnalysisPipeline::sequential();
@@ -994,6 +874,43 @@ mod tests {
             .generate(table, config)
             .unwrap();
         assert_eq!(parallel, sequential);
+    }
+
+    #[test]
+    fn sharded_preparation_matches_the_sequential_reference() {
+        // A pipeline on a dedicated pool prepares the same context as the
+        // sequential reference, on the calling thread: its scheduler runs no
+        // preparation job.
+        let (table, config) = scenario();
+        let reference = AnalysisPipeline::sequential()
+            .prepare(Arc::clone(&table), Arc::clone(&config))
+            .unwrap();
+        let pooled = AnalysisPipeline::with_pool(Arc::new(rf_runtime::ThreadPool::new(3)));
+        let executed = pooled.scheduler_stats().executed_jobs;
+        let ctx = pooled.prepare(table, config).unwrap();
+        assert_eq!(pooled.scheduler_stats().executed_jobs, executed);
+        assert_eq!(ctx.ranking, reference.ranking);
+        assert_eq!(ctx.protected_groups, reference.protected_groups);
+        assert_eq!(ctx.normalized_scoring, reference.normalized_scoring);
+    }
+
+    #[test]
+    fn sharded_preparation_surfaces_row_errors_like_the_sequential_pass() {
+        // A missing value in the scoring column errors with the same
+        // (attribute, row) under both schedules.
+        let mut quality: Vec<Option<f64>> = (0..40).map(|i| Some(100.0 - i as f64)).collect();
+        quality[17] = None;
+        let table =
+            Arc::new(Table::from_columns(vec![("Quality", Column::Float(quality))]).unwrap());
+        let scoring = ScoringFunction::from_pairs([("Quality", 1.0)]).unwrap();
+        let config = Arc::new(LabelConfig::new(scoring).with_top_k(5));
+        let sequential = AnalysisPipeline::sequential()
+            .generate(Arc::clone(&table), Arc::clone(&config))
+            .unwrap_err();
+        let pooled = AnalysisPipeline::with_pool(Arc::new(rf_runtime::ThreadPool::new(4)));
+        let parallel = pooled.generate(table, config).unwrap_err();
+        assert_eq!(sequential, parallel);
+        assert!(parallel.to_string().contains("row 17"));
     }
 
     #[test]

@@ -565,12 +565,10 @@ impl TrialKernel {
 
         // 2. Weight jitter, one uniform draw per recipe weight.  The
         //    reference (`perturb_weights` + `ScoringFunction` revalidation)
-        //    draws every jitter before validating, falls back to the
-        //    original weights when the jittered set is all zero, and — by
-        //    rebuilding the scoring function — resets the missing-value
-        //    policy to its default.
+        //    draws every jitter before validating and falls back to the
+        //    original weights when the jittered set is all zero.  The
+        //    missing-value policy carries over either way.
         scratch.weights.clear();
-        let mut missing_policy = self.missing_policy;
         if self.weight_noise > 0.0 {
             for attr in &self.attrs {
                 let jitter = 1.0 + rng.gen_range(-self.weight_noise..=self.weight_noise);
@@ -588,7 +586,6 @@ impl TrialKernel {
                         });
                     }
                 }
-                missing_policy = MissingValuePolicy::default();
             }
         } else {
             scratch.weights.extend(self.attrs.iter().map(|a| a.weight));
@@ -698,7 +695,7 @@ impl TrialKernel {
         //    tile resident together and gives the auto-vectorizer
         //    straight-line inner loops; on the exact path the per-element
         //    order inside a tile is unchanged, so tiling changes no bits.
-        if missing_policy == MissingValuePolicy::Error {
+        if self.missing_policy == MissingValuePolicy::Error {
             if let Some((row, index)) = self.first_missing {
                 // The reference trips on this cell mid-scan; missingness is
                 // static, so the scan is not needed to name it.
@@ -770,7 +767,7 @@ impl TrialKernel {
             } else {
                 // Policy is MeanImpute or Zero here: Error short-circuited
                 // above for any sparse scoring column.
-                let imputed = match missing_policy {
+                let imputed = match self.missing_policy {
                     MissingValuePolicy::MeanImpute => self.transform(scratch.means[index], (a, b)),
                     _ => 0.0,
                 };
@@ -1238,23 +1235,19 @@ mod tests {
             let scoring = ScoringFunction::from_pairs([("a", 0.6), ("b", 0.4)])
                 .unwrap()
                 .with_missing_policy(policy);
-            // Weight noise must stay zero: the reference path's weight
-            // rebuild resets the policy to `Error`, which the kernel also
-            // replicates — with noise on, both paths error identically.
             let reference = materialized_trial(&table, &scoring, 0.2, 0.0, 5)
                 .unwrap()
                 .order();
             let kernel = kernel_trial(&table, &scoring, 0.2, 0.0, 5).unwrap();
             assert_eq!(reference, kernel, "{policy:?}");
 
-            // And with weight noise, the policy-reset quirk is replicated:
-            // both paths fail on the first missing value.
-            let reference = materialized_trial(&table, &scoring, 0.2, 0.1, 5);
-            let kernel = TrialKernel::fit(&table, &scoring, 0.2, 0.1).unwrap();
-            let mut scratch = kernel.scratch();
-            let mut rng = ChaCha8Rng::seed_from_u64(5);
-            let kernel_err = kernel.rank_trial(&mut rng, &mut scratch);
-            assert_eq!(reference.unwrap_err(), kernel_err.unwrap_err());
+            // With weight noise the jittered recipe keeps the policy, so
+            // both paths impute and rank identically.
+            let reference = materialized_trial(&table, &scoring, 0.2, 0.1, 5)
+                .unwrap()
+                .order();
+            let kernel = kernel_trial(&table, &scoring, 0.2, 0.1, 5).unwrap();
+            assert_eq!(reference, kernel, "{policy:?}, weight noise");
         }
         // The error policy fails identically on both paths.
         let scoring = ScoringFunction::from_pairs([("a", 1.0)]).unwrap();

@@ -49,4 +49,4 @@ pub use rank_aware::{
     rank_biased_overlap, top_k_jaccard, top_k_overlap,
 };
 pub use ranking::{sort_descending, RankedItem, Ranking};
-pub use score::{AttributeWeight, MissingValuePolicy, ScoreModel, ScoringFunction};
+pub use score::{AttributeWeight, MissingValuePolicy, ScoringFunction};

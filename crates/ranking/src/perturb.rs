@@ -157,6 +157,7 @@ pub fn perturb_table_gaussian<R: Rng + ?Sized>(
 
 /// Returns a copy of the scoring function with each weight multiplied by
 /// `1 + ε`, where `ε` is uniform in `[-noise_fraction, +noise_fraction]`.
+/// The normalization and the missing-value policy carry over.
 ///
 /// If the jitter happens to drive every weight to exactly zero (only possible
 /// when all weights start at zero, which construction forbids), the original
@@ -180,7 +181,10 @@ pub fn perturb_weights<R: Rng + ?Sized>(
     if new_weights.iter().all(|w| w.weight == 0.0) {
         return Ok(scoring.clone());
     }
-    ScoringFunction::with_normalization(new_weights, scoring.normalization())
+    Ok(
+        ScoringFunction::with_normalization(new_weights, scoring.normalization())?
+            .with_missing_policy(scoring.missing_policy()),
+    )
 }
 
 /// Layers of the ziggurat: the layer index is the low 7 bits of a draw.
@@ -375,6 +379,7 @@ fn normal_tail(word: &mut impl FnMut() -> u64, negative: bool) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::score::MissingValuePolicy;
     use proptest::prelude::*;
     use rand::{RngCore, SeedableRng};
     use rand_chacha::ChaCha8Rng;
@@ -539,9 +544,12 @@ mod tests {
 
     #[test]
     fn weight_perturbation_stays_close() {
-        let f = ScoringFunction::from_pairs([("a", 1.0), ("b", 2.0)]).unwrap();
+        let f = ScoringFunction::from_pairs([("a", 1.0), ("b", 2.0)])
+            .unwrap()
+            .with_missing_policy(MissingValuePolicy::Zero);
         let mut rng = ChaCha8Rng::seed_from_u64(6);
         let g = perturb_weights(&f, 0.1, &mut rng).unwrap();
+        assert_eq!(g.missing_policy(), MissingValuePolicy::Zero);
         for (orig, new) in f.weights().iter().zip(g.weights().iter()) {
             assert_eq!(orig.attribute, new.attribute);
             assert!((new.weight - orig.weight).abs() <= orig.weight.abs() * 0.1 + 1e-12);

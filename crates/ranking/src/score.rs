@@ -169,25 +169,23 @@ impl ScoringFunction {
         Ok(())
     }
 
-    /// Fits the scoring function to `table`, producing a self-contained
-    /// [`ScoreModel`]: normalization parameters plus row-aligned attribute
-    /// values.  The model owns everything it needs, so callers can share it
-    /// across threads (via `Arc`) and score disjoint row ranges in parallel —
-    /// `rf-core`'s analysis pipeline shards exactly this way.
+    /// Computes the score of every row of `table`.
     ///
     /// Normalization parameters are fitted on the full table (so that scores
     /// of the top-k slice remain comparable with over-all scores).
     ///
     /// # Errors
-    /// Missing/non-numeric attributes or normalization failures (constant
-    /// column under min-max).
-    pub fn fit(&self, table: &Table) -> RankingResult<ScoreModel> {
+    /// Missing/non-numeric attributes, normalization failures (constant
+    /// column under min-max), or missing values under the
+    /// [`MissingValuePolicy::Error`] policy.
+    pub fn score_table(&self, table: &Table) -> RankingResult<Vec<f64>> {
         self.validate_against(table)?;
         let names: Vec<&str> = self.attribute_names();
         let normalizer = Normalizer::fit(table, &names, self.normalization)?;
 
-        // Pre-compute per-attribute row-aligned numeric values and mean fallbacks.
-        let mut attributes: Vec<PreparedAttribute> = Vec::with_capacity(names.len());
+        // Per attribute: its row-aligned values, its normalization and the
+        // mean fallback for `MeanImpute`.
+        let mut attributes = Vec::with_capacity(names.len());
         for w in &self.weights {
             let values = table.numeric_column_options(&w.attribute)?;
             let non_null: Vec<f64> = values.iter().filter_map(|x| *x).collect();
@@ -196,33 +194,31 @@ impl ScoringFunction {
             } else {
                 rf_stats::mean(&non_null)?
             };
-            attributes.push(PreparedAttribute {
-                name: w.attribute.clone(),
-                weight: w.weight,
-                values,
-                mean,
-            });
+            let transform = normalizer.column_transform(&w.attribute)?;
+            attributes.push((w, values, transform, mean));
         }
-        Ok(ScoreModel {
-            normalizer,
-            attributes,
-            missing_policy: self.missing_policy,
-            rows: table.num_rows(),
-        })
-    }
-
-    /// Computes the score of every row of `table`.
-    ///
-    /// Equivalent to [`ScoringFunction::fit`] followed by
-    /// [`ScoreModel::score_range`] over all rows.
-    ///
-    /// # Errors
-    /// Missing/non-numeric attributes, normalization failures (constant
-    /// column under min-max), or missing values under the
-    /// [`MissingValuePolicy::Error`] policy.
-    pub fn score_table(&self, table: &Table) -> RankingResult<Vec<f64>> {
-        let model = self.fit(table)?;
-        model.score_range(0..model.rows())
+        let mut scores = Vec::with_capacity(table.num_rows());
+        for row in 0..table.num_rows() {
+            let mut score = 0.0;
+            for (w, values, transform, mean) in &attributes {
+                let value = match values[row] {
+                    Some(v) => transform(v),
+                    None => match self.missing_policy {
+                        MissingValuePolicy::Error => {
+                            return Err(RankingError::MissingValue {
+                                attribute: w.attribute.clone(),
+                                row,
+                            })
+                        }
+                        MissingValuePolicy::MeanImpute => transform(*mean),
+                        MissingValuePolicy::Zero => 0.0,
+                    },
+                };
+                score += w.weight * value;
+            }
+            scores.push(score);
+        }
+        Ok(scores)
     }
 
     /// Scores the table and returns the resulting [`Ranking`]
@@ -269,78 +265,6 @@ impl ScoringFunction {
             normalization: self.normalization,
             missing_policy: self.missing_policy,
         })
-    }
-}
-
-/// One scoring attribute prepared for row-range scoring: its weight, its
-/// row-aligned values, and the mean fallback for [`MissingValuePolicy::MeanImpute`].
-#[derive(Debug, Clone)]
-struct PreparedAttribute {
-    name: String,
-    weight: f64,
-    values: Vec<Option<f64>>,
-    mean: f64,
-}
-
-/// A scoring function fitted to one table: the immutable state needed to
-/// score any subset of its rows.
-///
-/// Scoring is embarrassingly parallel across rows once the normalizer and the
-/// attribute columns are materialized; this type is that materialization.
-/// [`ScoreModel::score_range`] over disjoint ranges, concatenated in range
-/// order, is byte-identical to a single pass over all rows — the invariant
-/// `rf-core`'s sharded context preparation relies on.
-#[derive(Debug, Clone)]
-pub struct ScoreModel {
-    normalizer: Normalizer,
-    attributes: Vec<PreparedAttribute>,
-    missing_policy: MissingValuePolicy,
-    rows: usize,
-}
-
-impl ScoreModel {
-    /// Number of rows of the fitted table.
-    #[must_use]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Computes the scores of the rows in `range` (absolute row indices), in
-    /// row order.
-    ///
-    /// # Errors
-    /// Normalization failures or missing values under the
-    /// [`MissingValuePolicy::Error`] policy (reported with the absolute row
-    /// index, identical to a full-table pass).
-    pub fn score_range(&self, range: std::ops::Range<usize>) -> RankingResult<Vec<f64>> {
-        let range = range.start.min(self.rows)..range.end.min(self.rows);
-        let transforms = self
-            .attributes
-            .iter()
-            .map(|attribute| self.normalizer.column_transform(&attribute.name))
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut scores = Vec::with_capacity(range.len());
-        for row in range {
-            let mut score = 0.0;
-            for (attribute, transform) in self.attributes.iter().zip(&transforms) {
-                let value = match attribute.values[row] {
-                    Some(v) => transform(v),
-                    None => match self.missing_policy {
-                        MissingValuePolicy::Error => {
-                            return Err(RankingError::MissingValue {
-                                attribute: attribute.name.clone(),
-                                row,
-                            })
-                        }
-                        MissingValuePolicy::MeanImpute => transform(attribute.mean),
-                        MissingValuePolicy::Zero => 0.0,
-                    },
-                };
-                score += attribute.weight * value;
-            }
-            scores.push(score);
-        }
-        Ok(scores)
     }
 }
 
@@ -456,6 +380,33 @@ mod tests {
     }
 
     #[test]
+    fn score_range_reports_absolute_row_on_missing_values() {
+        // The error names the first missing row by its index in the table,
+        // past rows that score fine.
+        let t = Table::from_columns(vec![(
+            "x",
+            Column::Float(vec![Some(1.0), Some(2.0), None, Some(3.0)]),
+        )])
+        .unwrap();
+        let f = ScoringFunction::from_pairs([("x", 1.0)]).unwrap();
+        assert!(matches!(
+            f.score_table(&t),
+            Err(RankingError::MissingValue { row: 2, .. })
+        ));
+        // ... and the attribute it is missing from.
+        let t = Table::from_columns(vec![
+            ("y", Column::from_f64(vec![4.0, 3.0, 2.0, 1.0])),
+            ("x", Column::Float(vec![Some(1.0), Some(2.0), None, None])),
+        ])
+        .unwrap();
+        let f = ScoringFunction::from_pairs([("y", 1.0), ("x", 1.0)]).unwrap();
+        assert!(matches!(
+            f.score_table(&t),
+            Err(RankingError::MissingValue { row: 2, ref attribute }) if attribute == "x"
+        ));
+    }
+
+    #[test]
     fn with_weight_replaces_and_validates() {
         let f = ScoringFunction::from_pairs([("a", 1.0), ("b", 1.0)]).unwrap();
         let g = f.with_weight("a", 3.0).unwrap();
@@ -466,41 +417,6 @@ mod tests {
         // Setting the only non-zero weight to zero is rejected.
         let h = ScoringFunction::from_pairs([("a", 1.0), ("b", 0.0)]).unwrap();
         assert!(h.with_weight("a", 0.0).is_err());
-    }
-
-    #[test]
-    fn sharded_score_ranges_concatenate_to_the_full_pass() {
-        let t = departments();
-        let f = ScoringFunction::from_pairs([("PubCount", 0.4), ("Faculty", 0.4), ("GRE", 0.2)])
-            .unwrap();
-        let full = f.score_table(&t).unwrap();
-        let model = f.fit(&t).unwrap();
-        assert_eq!(model.rows(), 4);
-        for split in 0..=4 {
-            let mut sharded = model.score_range(0..split).unwrap();
-            sharded.extend(model.score_range(split..4).unwrap());
-            assert_eq!(sharded, full, "split at {split}");
-        }
-        // Out-of-range shards clamp instead of panicking.
-        assert!(model.score_range(4..9).unwrap().is_empty());
-    }
-
-    #[test]
-    fn score_range_reports_absolute_row_on_missing_values() {
-        let t = Table::from_columns(vec![(
-            "x",
-            Column::Float(vec![Some(1.0), Some(2.0), None, Some(3.0)]),
-        )])
-        .unwrap();
-        let f = ScoringFunction::from_pairs([("x", 1.0)]).unwrap();
-        let model = f.fit(&t).unwrap();
-        // The shard starting past the hole succeeds; the shard containing it
-        // reports the absolute row index, exactly like the full pass.
-        assert!(model.score_range(3..4).is_ok());
-        assert!(matches!(
-            model.score_range(2..4),
-            Err(RankingError::MissingValue { row: 2, .. })
-        ));
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //! job never runs nested inside another — where it could block on work
 //! lower on its own stack.
 //!
-//! * `rf-core`'s `AnalysisPipeline` shards preparation and fans the label
-//!   widgets out over nested scopes;
+//! * `rf-core`'s `AnalysisPipeline` fans the label widgets out over nested
+//!   scopes;
 //! * `rf-stability` runs one task per Monte-Carlo trial inside a widget job;
 //! * `rf-server` dispatches parsed requests onto the same scheduler via
 //!   [`Scheduler::execute_notify`], whose notify-even-on-panic guarantee
@@ -502,38 +502,6 @@ impl Scheduler {
             Err(_) => unreachable!("scope completion releases every slot reference"),
         }
     }
-
-    /// Runs `f` over contiguous shards of `0..len` and returns the shard
-    /// outputs **in shard order** — the deterministic merge that keeps
-    /// sharded computations byte-identical to a single sequential pass
-    /// whenever `f` is a pure function of its range (concatenating the
-    /// outputs of `shard_ranges(len, s)` reproduces `f(0..len)` exactly for
-    /// any row-wise map).
-    ///
-    /// `max_shards` bounds the fan-out; `0` means "pick for me" (twice the
-    /// worker count, so an unlucky slow shard can overlap with the rest).  A
-    /// shard whose closure panics yields `None` in its slot — callers that
-    /// need errors surface them by position via [`shard_ranges`].
-    pub fn map_shards<R, F>(&self, len: usize, max_shards: usize, f: F) -> Vec<Option<R>>
-    where
-        R: Send + 'static,
-        F: Fn(std::ops::Range<usize>) -> R + Send + Sync + 'static,
-    {
-        let max_shards = if max_shards == 0 {
-            self.size * 2
-        } else {
-            max_shards
-        };
-        let f = Arc::new(f);
-        let jobs: Vec<_> = shard_ranges(len, max_shards)
-            .into_iter()
-            .map(|range| {
-                let f = Arc::clone(&f);
-                move || f(range)
-            })
-            .collect();
-        self.run_all(jobs)
-    }
 }
 
 impl Drop for Scheduler {
@@ -557,7 +525,7 @@ impl Drop for Scheduler {
 /// A fixed-size pool of worker threads executing queued jobs.
 ///
 /// A thin owner of a [`Scheduler`]: callers reach the scheduler — and its
-/// `scope` / `run_all` / `map_shards` / `execute_notify` API — through
+/// `scope` / `run_all` / `execute_notify` API — through
 /// [`ThreadPool::scheduler`].
 #[derive(Debug)]
 pub struct ThreadPool {
@@ -642,32 +610,12 @@ impl<T> ScratchPool<T> {
     }
 }
 
-/// Splits `0..len` into at most `max_shards` contiguous, near-equal ranges
-/// (the first `len % shards` ranges are one element longer).  Deterministic
-/// in `(len, max_shards)`; returns no ranges for an empty domain.
-#[must_use]
-pub fn shard_ranges(len: usize, max_shards: usize) -> Vec<std::ops::Range<usize>> {
-    if len == 0 {
-        return Vec::new();
-    }
-    let shards = max_shards.max(1).min(len);
-    let base = len / shards;
-    let extra = len % shards;
-    let mut ranges = Vec::with_capacity(shards);
-    let mut start = 0;
-    for shard in 0..shards {
-        let size = base + usize::from(shard < extra);
-        ranges.push(start..start + size);
-        start += size;
-    }
-    ranges
-}
-
 /// The process-wide shared pool, sized to the available parallelism.
 ///
-/// Created on first use and kept alive for the lifetime of the process — the
-/// label pipeline, the server, and the benches all schedule onto it unless
-/// given a dedicated pool.
+/// Created on first use and kept alive for the lifetime of the process.  A
+/// label pipeline built without a dedicated pool (`AnalysisPipeline::new`,
+/// as the CLI and the benches use it) schedules onto it; a server builds a
+/// pool of its own (`ServerOptions::label_service`).
 pub fn global() -> &'static ThreadPool {
     static GLOBAL: OnceLock<ThreadPool> = OnceLock::new();
     GLOBAL.get_or_init(|| {
@@ -923,69 +871,6 @@ mod tests {
             scheduler.stats().steals > 0,
             "sibling worker should have stolen from the flooded deque"
         );
-    }
-
-    #[test]
-    fn shard_ranges_partition_the_domain() {
-        for len in [0usize, 1, 2, 7, 64, 1000] {
-            for shards in [1usize, 2, 3, 8, 200] {
-                let ranges = shard_ranges(len, shards);
-                assert!(ranges.len() <= shards.max(1));
-                // Contiguous cover of 0..len, in order.
-                let mut cursor = 0;
-                for range in &ranges {
-                    assert_eq!(range.start, cursor);
-                    assert!(!range.is_empty());
-                    cursor = range.end;
-                }
-                assert_eq!(cursor, len);
-                // Near-equal sizes: max - min <= 1.
-                if let (Some(max), Some(min)) = (
-                    ranges.iter().map(ExactSizeIterator::len).max(),
-                    ranges.iter().map(ExactSizeIterator::len).min(),
-                ) {
-                    assert!(max - min <= 1);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn map_shards_merges_in_shard_order() {
-        let scheduler = Scheduler::new(3);
-        let input: Vec<u64> = (0..103).map(|i| i * 3 + 1).collect();
-        let expected: Vec<u64> = input.iter().map(|v| v * v).collect();
-        let shared = Arc::new(input);
-        let data = Arc::clone(&shared);
-        let outputs = scheduler.map_shards(shared.len(), 0, move |range| {
-            data[range].iter().map(|v| v * v).collect::<Vec<u64>>()
-        });
-        let merged: Vec<u64> = outputs
-            .into_iter()
-            .flat_map(|slot| slot.expect("no shard panicked"))
-            .collect();
-        assert_eq!(merged, expected);
-    }
-
-    #[test]
-    fn map_shards_reports_panicked_shards_by_position() {
-        let scheduler = Scheduler::new(2);
-        let outputs = scheduler.map_shards(4, 4, |range| {
-            assert!(range.start != 2, "boom");
-            range.start
-        });
-        assert_eq!(outputs.len(), 4);
-        assert_eq!(outputs[0], Some(0));
-        assert_eq!(outputs[1], Some(1));
-        assert_eq!(outputs[2], None);
-        assert_eq!(outputs[3], Some(3));
-    }
-
-    #[test]
-    fn map_shards_on_empty_domain_is_empty() {
-        let scheduler = Scheduler::new(2);
-        let outputs = scheduler.map_shards(0, 0, |range| range.len());
-        assert!(outputs.is_empty());
     }
 
     #[test]

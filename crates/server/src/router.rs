@@ -1017,15 +1017,24 @@ mod tests {
 
     #[test]
     fn stats_endpoint_exposes_scheduler_observability() {
-        // The satellite contract: panicked jobs, queue depth, and steal
-        // counts are visible over HTTP alongside the cache counters.
-        let state = demo_catalog();
+        // Panicked jobs, queue depth, and steal counts are visible over
+        // HTTP alongside the cache counters.  The service schedules on a
+        // pool of its own, so only this test's label moves its counters.
+        let pool = Arc::new(rf_runtime::ThreadPool::new(2));
+        let service =
+            LabelService::with_pipeline(rf_core::AnalysisPipeline::with_pool(pool), 16, 64 << 20);
+        let state = AppState::with_service(DatasetCatalog::with_demo_datasets(), service);
+        let scrape = |state: &AppState| -> serde_json::Value {
+            serde_json::from_str(&route(state, &get("/stats")).body).unwrap()
+        };
+        let before = scrape(&state)["scheduler"]["executed_jobs"]
+            .as_u64()
+            .unwrap();
         let _ = route(&state, &get("/datasets/cs-departments/label.json"));
-        let resp = route(&state, &get("/stats"));
-        let value: serde_json::Value = serde_json::from_str(&resp.body).unwrap();
+        let value = scrape(&state);
         let scheduler = &value["scheduler"];
-        assert!(scheduler["workers"].as_u64().unwrap() >= 1);
-        assert!(scheduler["executed_jobs"].as_u64().unwrap() >= 1);
+        assert_eq!(scheduler["workers"], 2);
+        assert!(scheduler["executed_jobs"].as_u64().unwrap() > before);
         assert!(scheduler["panicked_jobs"].as_u64().is_some());
         assert!(scheduler["queue_depth"].as_u64().is_some());
         assert!(scheduler["steals"].as_u64().is_some());

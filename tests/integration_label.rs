@@ -300,15 +300,13 @@ fn ingredient_without_top_k_values_has_no_top_k_summary() {
 fn recipe_attribute_without_top_k_values_renders_n_a() {
     // `aux` is also in the Recipe (mean-imputed for scoring): the renderers
     // print "n/a" for its top-k statistics, and the JSON carries a null that
-    // reads back as the same label.  No Monte-Carlo trials: their weight
-    // jitter scores under the default policy, which rejects missing values.
+    // reads back as the same label.
     let scoring = ScoringFunction::from_pairs([("quality", 0.9), ("aux", 0.1)])
         .unwrap()
         .with_missing_policy(rf_ranking::MissingValuePolicy::MeanImpute);
     let config = LabelConfig::new(scoring)
         .with_top_k(10)
-        .with_ingredient_count(2)
-        .with_monte_carlo_trials(0);
+        .with_ingredient_count(2);
     let label = NutritionalLabel::generate(&aux_missing_at_the_top(), &config).unwrap();
     assert_eq!(
         label
@@ -334,4 +332,38 @@ fn recipe_attribute_without_top_k_values_renders_n_a() {
     assert!(value["recipe"]["details"][1]["top_k"].is_null());
     let parsed: NutritionalLabel = serde_json::from_str(&json).unwrap();
     assert_eq!(parsed, label);
+}
+
+#[test]
+fn imputing_recipes_label_with_default_trials_on_both_schedules() {
+    // The Monte-Carlo weight jitter keeps the recipe's missing-value policy,
+    // so a recipe that imputes over a column with missing cells gets a label
+    // with the default trials, byte-identical on both schedules.
+    let table = Arc::new(aux_missing_at_the_top());
+    let pooled = AnalysisPipeline::with_pool(Arc::new(rf_runtime::ThreadPool::new(2)));
+    for policy in [
+        rf_ranking::MissingValuePolicy::MeanImpute,
+        rf_ranking::MissingValuePolicy::Zero,
+    ] {
+        let scoring = ScoringFunction::from_pairs([("quality", 0.9), ("aux", 0.1)])
+            .unwrap()
+            .with_missing_policy(policy);
+        let config = Arc::new(LabelConfig::new(scoring).with_top_k(10));
+        assert!(config.monte_carlo.trials > 0 && config.monte_carlo.weight_noise > 0.0);
+        let sequential = AnalysisPipeline::sequential()
+            .generate(Arc::clone(&table), Arc::clone(&config))
+            .unwrap();
+        let parallel = pooled.generate(Arc::clone(&table), config).unwrap();
+        let mc = sequential
+            .stability
+            .monte_carlo
+            .as_ref()
+            .expect("trials on");
+        assert_eq!(mc.trials, mc.trials_requested, "{policy:?}");
+        assert_eq!(
+            sequential.to_json().unwrap(),
+            parallel.to_json().unwrap(),
+            "{policy:?}"
+        );
+    }
 }
