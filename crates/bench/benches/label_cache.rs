@@ -11,6 +11,16 @@ use rf_core::{CacheKey, LabelService};
 use std::hint::black_box;
 use std::sync::Arc;
 
+/// A service over the sequential reference pipeline with the default cache
+/// bounds.
+fn sequential_service() -> LabelService {
+    LabelService::with_pipeline(
+        rf_core::AnalysisPipeline::sequential(),
+        rf_core::service::DEFAULT_CACHE_CAPACITY,
+        rf_core::service::DEFAULT_CACHE_BYTES,
+    )
+}
+
 fn cache_hit_vs_miss(c: &mut Criterion) {
     let mut group = c.benchmark_group("label_cache/hit_vs_miss");
     group.sample_size(15);
@@ -22,7 +32,7 @@ fn cache_hit_vs_miss(c: &mut Criterion) {
         // service per iteration keeps every pass cold.
         group.bench_with_input(BenchmarkId::new("cold_miss", rows), &rows, |b, _| {
             b.iter(|| {
-                let service = LabelService::new();
+                let service = sequential_service();
                 let cached = service
                     .label(black_box(&table), black_box(&config))
                     .expect("label");
@@ -31,7 +41,7 @@ fn cache_hit_vs_miss(c: &mut Criterion) {
         });
 
         // Warm hit: the same request answered from the shared cache.
-        let service = LabelService::new();
+        let service = sequential_service();
         service.label(&table, &config).expect("warm-up");
         group.bench_with_input(BenchmarkId::new("warm_hit", rows), &rows, |b, _| {
             b.iter(|| {

@@ -9,10 +9,16 @@ use rf_core::AnalysisPipeline;
 use std::hint::black_box;
 use std::sync::Arc;
 
+/// A pipeline fanning out on a dedicated 4-worker pool (the server's default
+/// `--workers`).
+fn parallel() -> AnalysisPipeline {
+    AnalysisPipeline::with_pool(Arc::new(rf_runtime::ThreadPool::new(4)))
+}
+
 fn label_generation_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("label_generation/cs_departments_scaling");
     group.sample_size(20);
-    let pipeline = AnalysisPipeline::new();
+    let pipeline = parallel();
     for rows in [100usize, 1_000, 10_000] {
         let table = Arc::new(cs_table_with_rows(rows));
         let config = Arc::new(cs_label_config());
@@ -34,7 +40,7 @@ fn label_generation_scaling(c: &mut Criterion) {
 fn label_generation_scenarios(c: &mut Criterion) {
     let mut group = c.benchmark_group("label_generation/scenarios");
     group.sample_size(15);
-    let pipeline = AnalysisPipeline::new();
+    let pipeline = parallel();
 
     let cs_table = Arc::new(cs_table_with_rows(97));
     let cs_config = Arc::new(cs_label_config());
@@ -77,12 +83,12 @@ fn label_generation_scenarios(c: &mut Criterion) {
     group.finish();
 }
 
-/// The schedule ablation: the same analysis context, fanned out on the shared
-/// pool versus built serially on one thread.
+/// The schedule ablation: the same analysis context, fanned out on a
+/// dedicated pool versus built serially on one thread.
 fn pipeline_schedules(c: &mut Criterion) {
     let mut group = c.benchmark_group("label_generation/schedule");
     group.sample_size(15);
-    let parallel = AnalysisPipeline::new();
+    let parallel = parallel();
     let sequential = AnalysisPipeline::sequential();
     for rows in [1_000usize, 10_000] {
         let table = Arc::new(cs_table_with_rows(rows));
@@ -117,7 +123,7 @@ fn pipeline_schedules(c: &mut Criterion) {
 fn sweep_amortization(c: &mut Criterion) {
     let mut group = c.benchmark_group("label_generation/k_sweep");
     group.sample_size(10);
-    let pipeline = AnalysisPipeline::new();
+    let pipeline = parallel();
     let ks = [5usize, 10, 20, 50];
     let table = Arc::new(cs_table_with_rows(10_000));
     let config = Arc::new(cs_label_config());
@@ -155,7 +161,9 @@ fn label_rendering(c: &mut Criterion) {
     let mut group = c.benchmark_group("label_rendering");
     let table = Arc::new(cs_table_with_rows(97));
     let config = Arc::new(cs_label_config());
-    let label = AnalysisPipeline::new().generate(table, config).unwrap();
+    let label = AnalysisPipeline::sequential()
+        .generate(table, config)
+        .unwrap();
     group.bench_function("text", |b| b.iter(|| black_box(label.to_text())));
     group.bench_function("html", |b| b.iter(|| black_box(label.to_html())));
     group.bench_function("json", |b| b.iter(|| black_box(label.to_json().unwrap())));

@@ -305,7 +305,8 @@ fn label_hot_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("monte_carlo/label_hot_path");
     group.sample_size(10);
     let table = Arc::new(cs_table_with_rows(2_000));
-    let pipeline = rf_core::AnalysisPipeline::new();
+    // A dedicated 4-worker pool: the server's default `--workers`.
+    let pipeline = rf_core::AnalysisPipeline::with_pool(Arc::new(rf_runtime::ThreadPool::new(4)));
     for (name, trials) in [("disabled", 0usize), ("32-trials", 32), ("128-trials", 128)] {
         let config = Arc::new(rf_bench::cs_label_config().with_monte_carlo_trials(trials));
         group.bench_function(name, |b| {

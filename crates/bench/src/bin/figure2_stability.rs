@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 fn main() {
     print_banner("Figure 2 — Stability: detailed widget (CS departments)");
-    let pipeline = AnalysisPipeline::new();
+    let pipeline = AnalysisPipeline::sequential();
     let ctx = pipeline
         .prepare(Arc::new(cs_table()), Arc::new(cs_label_config()))
         .expect("prepare");

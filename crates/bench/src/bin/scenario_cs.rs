@@ -13,7 +13,7 @@ use rf_ranking::ScoringFunction;
 use std::sync::Arc;
 
 fn main() {
-    let pipeline = AnalysisPipeline::new();
+    let pipeline = AnalysisPipeline::sequential();
     let table = Arc::new(cs_table());
 
     print_banner("Scenario 1a — CS departments, default recipe (0.4/0.4/0.2)");

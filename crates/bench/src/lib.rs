@@ -122,10 +122,10 @@ pub fn synth_scenario(rows: usize) -> (Table, LabelConfig) {
 }
 
 /// Generates the CS departments label (the Figure 1 artifact) through the
-/// parallel analysis pipeline.
+/// sequential reference pipeline.
 #[must_use]
 pub fn cs_label() -> NutritionalLabel {
-    AnalysisPipeline::new()
+    AnalysisPipeline::sequential()
         .generate(Arc::new(cs_table()), Arc::new(cs_label_config()))
         .expect("CS label")
 }
@@ -148,7 +148,7 @@ mod tests {
         assert!(config.validate(&table).is_ok());
         let label = cs_label();
         assert_eq!(label.ranked_items, table.num_rows());
-        let ctx = AnalysisPipeline::new()
+        let ctx = AnalysisPipeline::sequential()
             .prepare(Arc::new(table.clone()), Arc::new(config))
             .unwrap();
         assert_eq!(ctx.ranking.len(), table.num_rows());

@@ -63,8 +63,13 @@ pub fn run(args: &ParsedArgs) -> CliResult<String> {
         )));
     }
     // The command owns its table, so it hands it straight to the parallel
-    // pipeline without the copy `NutritionalLabel::generate` would make.
-    let pipeline = AnalysisPipeline::new();
+    // pipeline without the copy `NutritionalLabel::generate` would make, on
+    // a pool of its own that lives as long as the run.
+    let workers = std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(4)
+        .clamp(2, 32);
+    let pipeline = AnalysisPipeline::with_pool(Arc::new(rf_runtime::ThreadPool::new(workers)));
     let table = Arc::new(table);
     let config = Arc::new(config);
     let sweep = args.get("ks").is_some();

@@ -62,7 +62,9 @@ impl NutritionalLabel {
     /// the [`AnalysisPipeline`](crate::AnalysisPipeline): the configuration
     /// is validated, the shared intermediates (ranking, normalized score
     /// matrix, protected groups) are computed once, and the six widgets are
-    /// built concurrently on the shared `rf-runtime` pool.
+    /// built one after another on the calling thread by the sequential
+    /// reference pipeline ([`AnalysisPipeline::sequential`]), so a one-shot
+    /// label starts no worker threads.
     ///
     /// This convenience entry point clones `table` and `config` into [`Arc`]s;
     /// callers that already hold shared data (the server catalogue, the
@@ -72,7 +74,7 @@ impl NutritionalLabel {
     /// # Errors
     /// Configuration validation errors or any widget-construction error.
     pub fn generate(table: &Table, config: &LabelConfig) -> LabelResult<Self> {
-        AnalysisPipeline::new().generate(Arc::new(table.clone()), Arc::new(config.clone()))
+        AnalysisPipeline::sequential().generate(Arc::new(table.clone()), Arc::new(config.clone()))
     }
 
     /// Builds display rows for the top-k items, using the first string column
@@ -216,7 +218,7 @@ mod tests {
         let table = departments();
         let label = NutritionalLabel::generate(&table, &config()).unwrap();
         assert_eq!(label.ranked_items, 30);
-        let ctx = AnalysisPipeline::new()
+        let ctx = AnalysisPipeline::sequential()
             .prepare(Arc::new(table), Arc::new(config()))
             .unwrap();
         assert_eq!(ctx.ranking.len(), 30);

@@ -51,7 +51,7 @@
 //!
 //! // The label ships the top-k, not the full order: that lives on the
 //! // prepared analysis context.
-//! let pipeline = AnalysisPipeline::new();
+//! let pipeline = AnalysisPipeline::sequential();
 //! let ctx = pipeline.prepare(Arc::new(table), Arc::new(config)).unwrap();
 //! assert_eq!(ctx.ranking.top_k(3).len(), 3);
 //! assert_eq!(pipeline.render(&ctx).unwrap(), label);

@@ -16,15 +16,16 @@
 //!    row scoring over the pool bought no measurable latency at any table
 //!    size, so there is one preparation path.
 //! 2. **Render** ([`AnalysisPipeline::render`]) — each widget is a
-//!    [`WidgetBuilder`] reading the immutable context; the pipeline schedules
-//!    all builders concurrently as a scheduler scope (or serially, for the
-//!    reference path the parity tests compare against).  Fairness fans out
+//!    [`WidgetBuilder`] reading the immutable context; a pipeline with a
+//!    pool schedules all builders concurrently as a scheduler scope, and one
+//!    without ([`AnalysisPipeline::sequential`]) builds them serially — the
+//!    reference path the parity tests compare against.  Fairness fans out
 //!    one job per `(protected feature, measure)` pair, and the Stability
-//!    builder opens a **nested scope** of its own: one task per Monte-Carlo
-//!    trial, each on its derived ChaCha stream (`seed ⊕ trial`).  Nested
-//!    scopes cannot deadlock — a blocked waiter helps run queued tasks —
-//!    which is what lets the paper's most expensive diagnostic live on the
-//!    label hot path.
+//!    builder opens a **nested scope** of its own: one task per batch of
+//!    `ceil(trials / (workers × f))` Monte-Carlo trials, each trial on its
+//!    derived ChaCha stream (`seed ⊕ trial`).  Nested scopes cannot deadlock
+//!    — a blocked waiter helps run queued tasks — which is what lets the
+//!    paper's most expensive diagnostic live on the label hot path.
 //!
 //! Because preparation does not depend on the audited prefix size,
 //! [`AnalysisPipeline::generate_sweep`] amortizes one preparation across a
@@ -254,7 +255,7 @@ pub enum WidgetOutput {
     TopRows(Vec<RankedRow>),
 }
 
-/// A unit of label construction that can run on the shared pool.
+/// A unit of label construction that can run on the pipeline's pool.
 ///
 /// Implementations must be pure functions of the [`AnalysisContext`]: the
 /// pipeline gives no ordering guarantees between builders, and the parity
@@ -510,70 +511,36 @@ fn builders(
     list
 }
 
-/// How the pipeline schedules its work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Schedule {
-    /// Fan the widget builders and Monte-Carlo batches out across an
-    /// `rf-runtime` pool (the default).
-    Parallel,
-    /// Build one widget after another on the calling thread — the reference
-    /// path the parity tests compare against.
-    Sequential,
-}
-
 /// Generates nutritional labels: prepares the context on the calling thread,
-/// then fans the widget builders out over an [`rf_runtime`] pool.
+/// then fans the widget builders out over the pipeline's [`rf_runtime`]
+/// pool, or builds them one after another when it has none.
 #[derive(Debug, Clone)]
 pub struct AnalysisPipeline {
-    schedule: Schedule,
+    /// The pool the render fan-out and the Monte-Carlo batches run on;
+    /// `None` is the sequential reference schedule.
     pool: Option<Arc<rf_runtime::ThreadPool>>,
     /// The counters and stage histograms of this pipeline and its clones.
     metrics: Arc<ServiceMetrics>,
 }
 
-impl Default for AnalysisPipeline {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl AnalysisPipeline {
-    /// A pipeline scheduling work concurrently on the process-wide pool.
-    #[must_use]
-    pub fn new() -> Self {
-        AnalysisPipeline {
-            schedule: Schedule::Parallel,
-            pool: None,
-            metrics: Arc::default(),
-        }
-    }
-
     /// A pipeline scheduling work concurrently on a dedicated pool.
     #[must_use]
     pub fn with_pool(pool: Arc<rf_runtime::ThreadPool>) -> Self {
         AnalysisPipeline {
-            schedule: Schedule::Parallel,
             pool: Some(pool),
             metrics: Arc::default(),
         }
     }
 
     /// The single-threaded reference pipeline: identical inputs, identical
-    /// outputs, no concurrency.  Used by the parity tests and available
-    /// wherever determinism is easier to reason about serially.
+    /// outputs, no concurrency and no worker threads.  Used by the parity
+    /// tests and by one-shot callers such as [`NutritionalLabel::generate`].
     #[must_use]
     pub fn sequential() -> Self {
         AnalysisPipeline {
-            schedule: Schedule::Sequential,
             pool: None,
             metrics: Arc::default(),
-        }
-    }
-
-    fn pool_ref(&self) -> &rf_runtime::ThreadPool {
-        match &self.pool {
-            Some(pool) => pool,
-            None => rf_runtime::global(),
         }
     }
 
@@ -590,19 +557,29 @@ impl AnalysisPipeline {
         self.metrics.preparations()
     }
 
-    /// The scheduler this pipeline fans out on: its dedicated pool's, or
-    /// the process-wide pool's when it has none.
+    /// The scheduler this pipeline fans out on; `None` for the sequential
+    /// reference.
     #[must_use]
-    pub fn scheduler(&self) -> &Arc<rf_runtime::Scheduler> {
-        self.pool_ref().scheduler()
+    pub fn scheduler(&self) -> Option<&Arc<rf_runtime::Scheduler>> {
+        self.pool.as_ref().map(|pool| pool.scheduler())
     }
 
     /// Observability counters of the scheduler this pipeline fans out on
     /// (queue depth, steals, executed and panicked tasks) — surfaced by the
-    /// HTTP `/stats` endpoint.
+    /// HTTP `/stats` endpoint.  The sequential reference has no scheduler
+    /// and reports zero workers and zero counts.
     #[must_use]
     pub fn scheduler_stats(&self) -> rf_runtime::SchedulerStats {
-        self.scheduler().stats()
+        self.scheduler().map_or(
+            rf_runtime::SchedulerStats {
+                workers: 0,
+                queue_depth: 0,
+                steals: 0,
+                executed_jobs: 0,
+                panicked_jobs: 0,
+            },
+            |scheduler| scheduler.stats(),
+        )
     }
 
     /// **Stage 1** — validates the configuration and computes the shared
@@ -633,11 +610,7 @@ impl AnalysisPipeline {
     /// [`LabelError::WidgetPanic`] when a builder panics on the pool.
     pub fn render(&self, ctx: &Arc<AnalysisContext>) -> LabelResult<NutritionalLabel> {
         let started = std::time::Instant::now();
-        let mc_scheduler = match self.schedule {
-            Schedule::Sequential => None,
-            Schedule::Parallel => Some(Arc::clone(self.pool_ref().scheduler())),
-        };
-        let list = builders(ctx, mc_scheduler, Arc::clone(&self.metrics));
+        let list = builders(ctx, self.scheduler().cloned(), Arc::clone(&self.metrics));
         let outputs = self.run_builders(ctx, list)?;
         let label = Self::assemble(ctx, outputs);
         self.metrics
@@ -707,16 +680,15 @@ impl AnalysisPipeline {
         ctx: &Arc<AnalysisContext>,
         list: Vec<Box<dyn WidgetBuilder>>,
     ) -> LabelResult<Vec<WidgetOutput>> {
-        match self.schedule {
-            Schedule::Sequential => {
+        match self.scheduler() {
+            None => {
                 let mut outputs = Vec::with_capacity(list.len());
                 for builder in list {
                     outputs.push(builder.build(ctx)?);
                 }
                 Ok(outputs)
             }
-            Schedule::Parallel => {
-                let scheduler = self.pool_ref().scheduler();
+            Some(scheduler) => {
                 let names: Vec<String> = list.iter().map(|b| b.name()).collect();
                 // Builders run on pool worker threads; carry the request's
                 // active span across so widget-level stage timings (the
@@ -867,7 +839,7 @@ mod tests {
     #[test]
     fn parallel_and_sequential_agree() {
         let (table, config) = scenario();
-        let parallel = AnalysisPipeline::new()
+        let parallel = AnalysisPipeline::with_pool(Arc::new(rf_runtime::ThreadPool::new(2)))
             .generate(Arc::clone(&table), Arc::clone(&config))
             .unwrap();
         let sequential = AnalysisPipeline::sequential()
@@ -916,7 +888,7 @@ mod tests {
     #[test]
     fn prepare_then_render_equals_generate() {
         let (table, config) = scenario();
-        let pipeline = AnalysisPipeline::new();
+        let pipeline = AnalysisPipeline::with_pool(Arc::new(rf_runtime::ThreadPool::new(2)));
         let ctx = pipeline
             .prepare(Arc::clone(&table), Arc::clone(&config))
             .unwrap();
@@ -1030,7 +1002,7 @@ mod tests {
     #[test]
     fn sweep_rejects_invalid_ks_up_front() {
         let (table, config) = scenario();
-        let err = AnalysisPipeline::new()
+        let err = AnalysisPipeline::sequential()
             .generate_sweep(table, config, &[5, 500])
             .unwrap_err();
         assert!(matches!(err, LabelError::InvalidConfig { .. }));
@@ -1050,7 +1022,7 @@ mod tests {
     fn invalid_config_fails_in_prepare() {
         let (table, config) = scenario();
         let bad = Arc::new((*config).clone().with_top_k(500));
-        assert!(AnalysisPipeline::new().generate(table, bad).is_err());
+        assert!(AnalysisPipeline::sequential().generate(table, bad).is_err());
     }
 
     #[test]
@@ -1077,7 +1049,7 @@ mod tests {
         let config = LabelConfig::new(scoring)
             .with_top_k(5)
             .with_sensitive_attribute("Region", ["NE"]);
-        let err = AnalysisPipeline::new()
+        let err = AnalysisPipeline::with_pool(Arc::new(rf_runtime::ThreadPool::new(2)))
             .generate(Arc::new(table), Arc::new(config))
             .unwrap_err();
         assert!(matches!(err, crate::LabelError::Fairness(_)));

@@ -271,23 +271,7 @@ pub struct LabelService {
     ttl: Option<std::time::Duration>,
 }
 
-impl Default for LabelService {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl LabelService {
-    /// A service over the parallel pipeline with the default cache bounds.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::with_pipeline(
-            AnalysisPipeline::new(),
-            DEFAULT_CACHE_CAPACITY,
-            DEFAULT_CACHE_BYTES,
-        )
-    }
-
     /// A service over an explicit pipeline and explicit cache bounds
     /// (`capacity` entries; `max_bytes` resident bytes, counting each
     /// entry's rendered JSON plus the table it retains).
@@ -344,10 +328,11 @@ impl LabelService {
         self.pipeline.metrics()
     }
 
-    /// The scheduler this service's pipeline fans out on.  The server runs
-    /// its request jobs here too, so one pool bounds all label CPU.
+    /// The scheduler this service's pipeline fans out on; `None` over the
+    /// sequential reference.  The server runs its request jobs here too, so
+    /// one pool bounds all label CPU.
     #[must_use]
-    pub fn scheduler(&self) -> &Arc<rf_runtime::Scheduler> {
+    pub fn scheduler(&self) -> Option<&Arc<rf_runtime::Scheduler>> {
         self.pipeline.scheduler()
     }
 
@@ -700,6 +685,15 @@ mod tests {
     use rf_ranking::ScoringFunction;
     use rf_table::Column;
 
+    /// A service over its own 2-worker pool with the default cache bounds.
+    fn pooled_service() -> LabelService {
+        LabelService::with_pipeline(
+            AnalysisPipeline::with_pool(Arc::new(rf_runtime::ThreadPool::new(2))),
+            DEFAULT_CACHE_CAPACITY,
+            DEFAULT_CACHE_BYTES,
+        )
+    }
+
     fn scenario() -> (Arc<Table>, Arc<LabelConfig>) {
         let n = 30usize;
         let table = Table::from_columns(vec![
@@ -732,7 +726,7 @@ mod tests {
     #[test]
     fn warm_hits_skip_preparation_and_match_cold_generation() {
         let (table, config) = scenario();
-        let service = LabelService::new();
+        let service = pooled_service();
         let cold = service.label(&table, &config).unwrap();
         let warm = service.label(&table, &config).unwrap();
         assert_eq!(cold.json, warm.json);
@@ -746,7 +740,7 @@ mod tests {
     #[test]
     fn content_addressing_survives_table_rebuilds() {
         let (table, config) = scenario();
-        let service = LabelService::new();
+        let service = pooled_service();
         service.label(&table, &config).unwrap();
         // A fresh Arc around an identical table is still a hit.
         let rebuilt = Arc::new((*table).clone());
@@ -758,7 +752,7 @@ mod tests {
     #[test]
     fn sweep_serves_warm_ks_from_cache_and_generates_the_rest() {
         let (table, config) = scenario();
-        let service = LabelService::new();
+        let service = pooled_service();
         // Warm one of the three sizes.
         let five = Arc::new(LabelConfig::clone(&config).with_top_k(5));
         service.label(&table, &five).unwrap();
@@ -782,7 +776,7 @@ mod tests {
     #[test]
     fn concurrent_cold_misses_coalesce_onto_one_generation() {
         let (table, config) = scenario();
-        let service = Arc::new(LabelService::new());
+        let service = Arc::new(pooled_service());
         let threads = 8usize;
         let barrier = Arc::new(std::sync::Barrier::new(threads));
         let handles: Vec<_> = (0..threads)
@@ -828,7 +822,7 @@ mod tests {
     fn coalesced_errors_fail_every_waiter_without_retrying() {
         let (table, config) = scenario();
         let bad = Arc::new(LabelConfig::clone(&config).with_top_k(500));
-        let service = Arc::new(LabelService::new());
+        let service = Arc::new(pooled_service());
         let threads = 4usize;
         let barrier = Arc::new(std::sync::Barrier::new(threads));
         let handles: Vec<_> = (0..threads)
@@ -881,7 +875,7 @@ mod tests {
         // it forever.  Untruncated labels under the same deadline cache as
         // usual.
         let (table, config) = scenario();
-        let service = LabelService::new();
+        let service = pooled_service();
         let truncating = Arc::new(
             LabelConfig::clone(&config)
                 .with_monte_carlo_trials(256)
@@ -1042,8 +1036,8 @@ mod tests {
     fn two_services_in_one_process_keep_separate_metrics() {
         let (table, config) = scenario();
         let config = Arc::new(LabelConfig::clone(&config).with_monte_carlo_trials(16));
-        let a = LabelService::new();
-        let b = LabelService::new();
+        let a = pooled_service();
+        let b = pooled_service();
         a.label(&table, &config).unwrap();
         let prepare_count = |service: &LabelService| {
             let stages = service.metrics().stages().snapshot();
@@ -1064,7 +1058,7 @@ mod tests {
     #[test]
     fn errors_are_not_cached() {
         let (table, config) = scenario();
-        let service = LabelService::new();
+        let service = pooled_service();
         let bad = Arc::new((*config).clone().with_top_k(500));
         assert!(service.label(&table, &bad).is_err());
         assert_eq!(service.stats().cache.entries, 0);

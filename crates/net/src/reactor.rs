@@ -2,8 +2,8 @@
 //!
 //! The [`Reactor`] owns the listener, the [`Poller`], the wake channel, and
 //! every [`Connection`].  All socket I/O happens here; CPU work leaves
-//! through [`Dispatch::dispatch`] (the label server hands it to the
-//! `rf_runtime::ThreadPool`) and returns through the [`Completions`] queue
+//! through [`Dispatch::dispatch`] (the label server hands it to its label
+//! service's scheduler) and returns through the [`Completions`] queue
 //! plus the eventfd waker.  Idle keep-alive connections therefore cost one
 //! epoll registration and a parser buffer — no thread, no pool worker.
 //!

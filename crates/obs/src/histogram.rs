@@ -176,12 +176,6 @@ impl HistogramSnapshot {
         self.quantile_micros(0.50)
     }
 
-    /// 90th percentile in microseconds.
-    #[must_use]
-    pub fn p90_micros(&self) -> u64 {
-        self.quantile_micros(0.90)
-    }
-
     /// 99th percentile in microseconds.
     #[must_use]
     pub fn p99_micros(&self) -> u64 {
@@ -271,8 +265,7 @@ mod tests {
         assert_eq!(snap.p50_micros(), 31);
         // p99 rank is 5 → value 1000 → bucket [512,1023] → upper bound 1023.
         assert_eq!(snap.p99_micros(), 1023);
-        assert!(snap.p50_micros() <= snap.p90_micros());
-        assert!(snap.p90_micros() <= snap.p99_micros());
+        assert!(snap.p50_micros() <= snap.p99_micros());
     }
 
     #[test]

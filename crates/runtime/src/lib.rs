@@ -11,7 +11,8 @@
 //! injected) instead of parking — so nested fan-outs can never deadlock the
 //! pool they run on, even with a single worker.  That is what lets the label
 //! pipeline fan widgets out across the pool while one of those widgets (the
-//! Monte-Carlo stability detail) fans out again, one task per trial.
+//! Monte-Carlo stability detail) fans out again, one task per batch of
+//! trials.
 //! Top-level jobs ([`Scheduler::spawn_detached`],
 //! [`Scheduler::execute_notify`]) wait in a queue of their own that only
 //! idle workers take from: a helping waiter never starts one, so a request
@@ -20,7 +21,8 @@
 //!
 //! * `rf-core`'s `AnalysisPipeline` fans the label widgets out over nested
 //!   scopes;
-//! * `rf-stability` runs one task per Monte-Carlo trial inside a widget job;
+//! * `rf-stability` runs one task per batch of `ceil(trials / (workers ×
+//!   f))` Monte-Carlo trials inside a widget job;
 //! * `rf-server` dispatches parsed requests onto the same scheduler via
 //!   [`Scheduler::execute_notify`], whose notify-even-on-panic guarantee
 //!   rf-net's completion hook depends on — one pool per server, so request
@@ -32,9 +34,10 @@
 //! CPUs where there are enough (see the `affinity` module): the kernel's
 //! wake-up placement could otherwise herd a whole pool onto one CPU.
 //!
-//! A process-wide pool is available through [`global`]; independent pools can
-//! be created for tests or dedicated subsystems.  Jobs are `'static` — shared
-//! state crosses into the scheduler via `Arc`.
+//! There is no process-wide pool: each pool belongs to whoever built it (a
+//! server's label service, one CLI run, a bench, a test), and its workers
+//! exit when the last handle drops.  Jobs are `'static` — shared state
+//! crosses into the scheduler via `Arc`.
 //!
 //! Panics inside a task are caught and counted (see
 //! [`Scheduler::panicked_jobs`]) so one poisoned request cannot take a worker
@@ -51,7 +54,7 @@ mod affinity;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -610,22 +613,6 @@ impl<T> ScratchPool<T> {
     }
 }
 
-/// The process-wide shared pool, sized to the available parallelism.
-///
-/// Created on first use and kept alive for the lifetime of the process.  A
-/// label pipeline built without a dedicated pool (`AnalysisPipeline::new`,
-/// as the CLI and the benches use it) schedules onto it; a server builds a
-/// pool of its own (`ServerOptions::label_service`).
-pub fn global() -> &'static ThreadPool {
-    static GLOBAL: OnceLock<ThreadPool> = OnceLock::new();
-    GLOBAL.get_or_init(|| {
-        let parallelism = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(4);
-        ThreadPool::new(parallelism.clamp(2, 32))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -940,14 +927,6 @@ mod tests {
         assert!(outputs.iter().all(|o| *o == Some(6)));
         // At most one scratch per thread that ever ran a job concurrently.
         assert!(pool.idle() >= 1 && pool.idle() <= 5);
-    }
-
-    #[test]
-    fn global_pool_is_shared_and_sized() {
-        let pool = global();
-        assert!(pool.size() >= 2);
-        let again = global();
-        assert!(std::ptr::eq(pool, again));
     }
 
     #[test]

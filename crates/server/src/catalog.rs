@@ -264,7 +264,7 @@ mod tests {
         // the fairness widget's binary-attribute rule), so prove the entry
         // actually serves a label end to end.
         let config = entry.config.clone().with_monte_carlo_trials(2);
-        let pipeline = rf_core::AnalysisPipeline::new();
+        let pipeline = rf_core::AnalysisPipeline::sequential();
         let ctx = pipeline
             .prepare(Arc::clone(&entry.table), Arc::new(config))
             .expect("catalogued synth scenario must prepare");

@@ -61,12 +61,6 @@ pub struct AppState {
 }
 
 impl AppState {
-    /// Wraps a catalogue with a fresh default [`LabelService`].
-    #[must_use]
-    pub fn new(catalog: DatasetCatalog) -> Self {
-        Self::with_service(catalog, LabelService::new())
-    }
-
     /// Wraps a catalogue with an explicit [`LabelService`] — the hook the
     /// server binary uses to apply its cache-policy flags (TTL, entry and
     /// byte bounds).
@@ -133,12 +127,6 @@ impl AppState {
             reactors: snapshots.iter().map(convert).collect(),
             totals: convert(&totals),
         })
-    }
-
-    /// The demo state: the paper's three datasets plus a fresh service.
-    #[must_use]
-    pub fn with_demo_datasets() -> Self {
-        Self::new(DatasetCatalog::with_demo_datasets())
     }
 
     /// Adds or replaces a catalogue dataset **and invalidates the label
@@ -923,8 +911,16 @@ mod tests {
         Request::read_from(raw.as_bytes()).unwrap()
     }
 
+    /// The demo catalogue over a label service on its own 2-worker pool.
     fn demo_catalog() -> AppState {
-        AppState::with_demo_datasets()
+        let options = crate::ServerOptions {
+            workers: 2,
+            ..crate::ServerOptions::default()
+        };
+        AppState::with_service(
+            DatasetCatalog::with_demo_datasets(),
+            options.label_service(),
+        )
     }
 
     #[test]

@@ -504,8 +504,7 @@ struct LabelDispatch {
 }
 
 impl LabelDispatch {
-    fn new(state: Arc<AppState>, max_pending: usize) -> Self {
-        let scheduler = Arc::clone(state.labels.scheduler());
+    fn new(state: Arc<AppState>, scheduler: Arc<Scheduler>, max_pending: usize) -> Self {
         let metrics = Arc::clone(state.labels.metrics());
         LabelDispatch {
             state,
@@ -621,6 +620,8 @@ impl Dispatch for LabelDispatch {
 /// The Ranking Facts demo server.
 pub struct Server {
     state: Arc<AppState>,
+    /// The label service's scheduler, which the requests run on too.
+    scheduler: Arc<Scheduler>,
     /// One listener per reactor shard.  A single shard binds an ordinary
     /// listener; several bind `SO_REUSEPORT` listeners on the same address.
     listeners: Vec<TcpListener>,
@@ -652,7 +653,7 @@ impl Server {
 
     /// Binds the listener(s) over an explicit [`AppState`] (e.g. a
     /// pre-warmed or custom-bounded label service).  Requests run on the
-    /// state's label-service scheduler.
+    /// state's label-service scheduler, so the service needs one.
     ///
     /// With `config.reactors == 1` this is exactly the single-listener bind
     /// it has always been.  With more, the first `SO_REUSEPORT` listener may
@@ -660,8 +661,16 @@ impl Server {
     /// ephemeral-port tests work unchanged.
     ///
     /// # Errors
-    /// I/O errors from binding the address, or an unresolvable address.
+    /// [`std::io::ErrorKind::InvalidInput`] for a label service over the
+    /// sequential reference pipeline (it has no scheduler to run requests
+    /// on); I/O errors from binding the address, or an unresolvable address.
     pub fn bind_state(state: AppState, config: &ServerConfig) -> std::io::Result<Self> {
+        let scheduler = state.labels.scheduler().cloned().ok_or_else(|| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "the label service has no scheduler to run requests on",
+            )
+        })?;
         let reactors = config.reactors.max(1);
         let listeners = if reactors == 1 {
             vec![TcpListener::bind(&config.bind_address)?]
@@ -686,6 +695,7 @@ impl Server {
         };
         Ok(Server {
             state: Arc::new(state),
+            scheduler,
             listeners,
             config: config.clone(),
             shutdown: Arc::new(AtomicBool::new(false)),
@@ -729,6 +739,7 @@ impl Server {
     pub fn run(&self) -> std::io::Result<()> {
         let dispatch = Arc::new(LabelDispatch::new(
             Arc::clone(&self.state),
+            Arc::clone(&self.scheduler),
             self.config.max_pending,
         ));
         let reactor_config = ReactorConfig {
@@ -1015,8 +1026,29 @@ mod tests {
         // the request jobs — /stats must agree with the flag.
         assert_eq!(stats.scheduler.workers, 3);
         // And the no-TTL default stays the no-TTL default.
-        let default_state = AppState::new(DatasetCatalog::with_demo_datasets());
-        assert_eq!(default_state.labels.stats().cache.ttl_millis, None);
+        let default_service = ServerOptions::default().label_service();
+        assert_eq!(default_service.stats().cache.ttl_millis, None);
+    }
+
+    #[test]
+    fn binding_a_sequential_service_is_invalid_input() {
+        // The sequential reference has no scheduler for request jobs: the
+        // bind refuses it, and its stats report no workers.
+        let service = rf_core::LabelService::with_pipeline(
+            rf_core::AnalysisPipeline::sequential(),
+            8,
+            1 << 20,
+        );
+        assert_eq!(service.stats().scheduler.workers, 0);
+        let config = ServerConfig {
+            bind_address: "127.0.0.1:0".to_string(),
+            ..ServerConfig::default()
+        };
+        let state = AppState::with_service(DatasetCatalog::with_demo_datasets(), service);
+        let err = Server::bind_state(state, &config)
+            .err()
+            .expect("a sequential service cannot be bound");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
     }
 
     #[test]

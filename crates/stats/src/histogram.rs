@@ -107,18 +107,6 @@ impl Histogram {
             .collect()
     }
 
-    /// Index of the most populated bin (the first one in case of ties).
-    #[must_use]
-    pub fn mode_bin(&self) -> usize {
-        let mut best = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c > self.counts[best] {
-                best = i;
-            }
-        }
-        best
-    }
-
     /// Renders the histogram as ASCII art (one line per bin), used by the
     /// text renderer of the design view.
     #[must_use]
@@ -208,13 +196,6 @@ mod tests {
         let (_, last_hi) = h.bin_edges(3);
         assert_eq!(first_lo, 0.0);
         assert_eq!(last_hi, 4.0);
-    }
-
-    #[test]
-    fn mode_bin_finds_heaviest() {
-        let values = [1.0, 1.1, 1.2, 1.3, 9.0];
-        let h = Histogram::build(&values, 4).unwrap();
-        assert_eq!(h.mode_bin(), 0);
     }
 
     #[test]

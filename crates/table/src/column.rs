@@ -273,39 +273,6 @@ impl Column {
             ),
         }
     }
-
-    /// Appends a [`Value`] to the column, coercing compatible types
-    /// (ints into float columns).  Used by the CSV reader.
-    ///
-    /// # Errors
-    /// [`TableError::TypeMismatch`] when the value cannot be stored in this column.
-    pub fn push_value(&mut self, name: &str, value: Value) -> TableResult<()> {
-        match (self, value) {
-            (Column::Float(v), Value::Float(x)) => v.push(Some(x)),
-            (Column::Float(v), Value::Int(x)) => v.push(Some(x as f64)),
-            (Column::Float(v), Value::Null) => v.push(None),
-            (Column::Int(v), Value::Int(x)) => v.push(Some(x)),
-            (Column::Int(v), Value::Null) => v.push(None),
-            (Column::Str(v), Value::Str(x)) => v.push(Some(x)),
-            (Column::Str(v), Value::Null) => v.push(None),
-            (Column::Bool(v), Value::Bool(x)) => v.push(Some(x)),
-            (Column::Bool(v), Value::Null) => v.push(None),
-            (col, val) => {
-                return Err(TableError::TypeMismatch {
-                    name: name.to_string(),
-                    expected: col.column_type().name(),
-                    actual: match val {
-                        Value::Float(_) => "float",
-                        Value::Int(_) => "int",
-                        Value::Str(_) => "str",
-                        Value::Bool(_) => "bool",
-                        Value::Null => "null",
-                    },
-                })
-            }
-        }
-        Ok(())
-    }
 }
 
 /// A numeric column read in place: row `i` is `Some(value as f64)`, or
@@ -584,23 +551,5 @@ mod tests {
         let col = Column::from_i64(vec![10, 20, 30]);
         let taken = col.take(&[2, 0, 9]);
         assert_eq!(taken, Column::Int(vec![Some(30), Some(10), None]));
-    }
-
-    #[test]
-    fn push_value_coercions() {
-        let mut col = Column::Float(vec![]);
-        col.push_value("x", Value::Float(1.5)).unwrap();
-        col.push_value("x", Value::Int(2)).unwrap();
-        col.push_value("x", Value::Null).unwrap();
-        assert_eq!(col, Column::Float(vec![Some(1.5), Some(2.0), None]));
-        assert!(col.push_value("x", Value::Str("oops".to_string())).is_err());
-    }
-
-    #[test]
-    fn push_value_rejects_cross_type() {
-        let mut col = Column::Bool(vec![]);
-        assert!(col.push_value("flag", Value::Int(1)).is_err());
-        col.push_value("flag", Value::Bool(true)).unwrap();
-        assert_eq!(col.len(), 1);
     }
 }

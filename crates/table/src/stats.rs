@@ -29,17 +29,6 @@ pub fn column_histogram(table: &Table, column: &str, bins: usize) -> TableResult
     Ok(Histogram::build(&values, bins)?)
 }
 
-/// Summaries of several columns at once, in input order.
-///
-/// # Errors
-/// Fails on the first column that cannot be summarized.
-pub fn column_summaries(table: &Table, columns: &[&str]) -> TableResult<Vec<(String, Summary)>> {
-    columns
-        .iter()
-        .map(|&c| column_summary(table, c).map(|s| (c.to_string(), s)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,14 +89,5 @@ mod tests {
     #[test]
     fn histogram_rejects_zero_bins() {
         assert!(column_histogram(&table(), "score", 0).is_err());
-    }
-
-    #[test]
-    fn summaries_of_multiple_columns() {
-        let all = column_summaries(&table(), &["score", "count"]).unwrap();
-        assert_eq!(all.len(), 2);
-        assert_eq!(all[0].0, "score");
-        assert_eq!(all[1].1.max, 50.0);
-        assert!(column_summaries(&table(), &["score", "label"]).is_err());
     }
 }

@@ -255,14 +255,6 @@ impl Table {
         Ok(out)
     }
 
-    /// A new table containing the rows for which `predicate` returns `true`.
-    /// The predicate receives the row index.
-    #[must_use]
-    pub fn filter_by_index<F: Fn(usize) -> bool>(&self, predicate: F) -> Table {
-        let indices: Vec<usize> = (0..self.rows).filter(|&i| predicate(i)).collect();
-        self.take(&indices)
-    }
-
     /// Returns row indices sorted by the given numeric column.
     ///
     /// `descending = true` puts the largest values first (the usual "best
@@ -335,22 +327,6 @@ impl Table {
             out.push('\n');
         }
         out
-    }
-
-    /// Checks that every listed column exists, returning the first missing
-    /// name as an error.  Convenience used by configuration validation.
-    ///
-    /// # Errors
-    /// [`TableError::UnknownColumn`] for the first missing column.
-    pub fn require_columns(&self, names: &[&str]) -> TableResult<()> {
-        for &name in names {
-            if !self.schema.contains(name) {
-                return Err(TableError::UnknownColumn {
-                    name: name.to_string(),
-                });
-            }
-        }
-        Ok(())
     }
 
     /// Checks that a column exists and is numeric.
@@ -501,17 +477,6 @@ mod tests {
     }
 
     #[test]
-    fn filter_by_index() {
-        let t = departments();
-        let filtered = t.filter_by_index(|i| i % 2 == 0);
-        assert_eq!(filtered.num_rows(), 3);
-        assert_eq!(
-            filtered.numeric_column("PubCount").unwrap(),
-            vec![5.0, 9.0, 7.0]
-        );
-    }
-
-    #[test]
     fn sort_descending_and_ascending() {
         let t = departments();
         let desc = t.sort_by("PubCount", true).unwrap();
@@ -574,8 +539,6 @@ mod tests {
     #[test]
     fn require_helpers() {
         let t = departments();
-        assert!(t.require_columns(&["Dept", "Faculty"]).is_ok());
-        assert!(t.require_columns(&["Dept", "Ghost"]).is_err());
         assert!(t.require_numeric("PubCount").is_ok());
         assert!(t.require_numeric("Region").is_err());
         assert!(t.require_numeric("Ghost").is_err());

@@ -26,7 +26,7 @@ fn cs_label() -> NutritionalLabel {
 /// Prepares `table` under `config` and renders its label: the label carries
 /// the top-k, the prepared context the full order.
 fn prepared(table: Table, config: LabelConfig) -> (Arc<AnalysisContext>, NutritionalLabel) {
-    let pipeline = AnalysisPipeline::new();
+    let pipeline = AnalysisPipeline::sequential();
     let ctx = pipeline.prepare(Arc::new(table), Arc::new(config)).unwrap();
     let label = pipeline.render(&ctx).unwrap();
     (ctx, label)

@@ -78,7 +78,11 @@ fn scenarios() -> Vec<(&'static str, Arc<Table>, Arc<LabelConfig>)> {
 fn warm_hits_and_sweeps_reuse_one_preparation_on_all_scenarios() {
     for (name, table, config) in scenarios() {
         // --- Cache parity -------------------------------------------------
-        let service = LabelService::new();
+        let service = LabelService::with_pipeline(
+            AnalysisPipeline::with_pool(Arc::new(rf_runtime::ThreadPool::new(4))),
+            rf_core::service::DEFAULT_CACHE_CAPACITY,
+            rf_core::service::DEFAULT_CACHE_BYTES,
+        );
         let cold = service.label(&table, &config).unwrap();
         assert!(
             cold.json.contains("\"monte_carlo\""),
@@ -121,7 +125,7 @@ fn warm_hits_and_sweeps_reuse_one_preparation_on_all_scenarios() {
 
         // --- Sweep parity -------------------------------------------------
         let ks = [5usize, 10, 20];
-        let pipeline = AnalysisPipeline::new();
+        let pipeline = AnalysisPipeline::with_pool(Arc::new(rf_runtime::ThreadPool::new(4)));
         let independent: Vec<String> = ks
             .iter()
             .map(|&k| {

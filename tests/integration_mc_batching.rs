@@ -178,7 +178,7 @@ fn zero_deadline_full_label_is_valid_and_flagged() {
             .with_monte_carlo_trials(512)
             .with_monte_carlo_deadline_millis(Some(0)),
     );
-    let label = AnalysisPipeline::new()
+    let label = AnalysisPipeline::with_pool(Arc::new(rf_runtime::ThreadPool::new(4)))
         .generate(Arc::clone(&table), config)
         .unwrap();
     let mc = label.stability.monte_carlo.as_ref().expect("detail on");

@@ -47,7 +47,7 @@ fn mitigation_improves_on_a_size_driven_recipe() {
     assert!(best.attributes_losing_categories <= original_entry.attributes_losing_categories);
 
     // Every suggestion can actually be turned back into a label.
-    let pipeline = AnalysisPipeline::new();
+    let pipeline = AnalysisPipeline::sequential();
     let shared_table = Arc::new(table.clone());
     for suggestion in &suggestions {
         let scoring = ScoringFunction::with_normalization(

@@ -63,7 +63,7 @@ fn assert_parity(scenario_name: &str, table: Table, config: LabelConfig) {
     let table = Arc::new(table);
     let config = Arc::new(config);
 
-    let parallel = AnalysisPipeline::new()
+    let parallel = AnalysisPipeline::with_pool(Arc::new(rf_runtime::ThreadPool::new(4)))
         .generate(Arc::clone(&table), Arc::clone(&config))
         .unwrap_or_else(|err| panic!("{scenario_name}: parallel pipeline failed: {err}"));
     let sequential = AnalysisPipeline::sequential()
@@ -115,7 +115,7 @@ fn parity_holds_across_repeated_parallel_runs() {
     let (table, config) = cs_scenario();
     let table = Arc::new(table);
     let config = Arc::new(config);
-    let pipeline = AnalysisPipeline::new();
+    let pipeline = AnalysisPipeline::with_pool(Arc::new(rf_runtime::ThreadPool::new(4)));
     let first = pipeline
         .generate(Arc::clone(&table), Arc::clone(&config))
         .unwrap()

@@ -54,7 +54,7 @@ proptest! {
             .with_top_k(k)
             .with_sensitive_attribute("group", ["g1"])
             .with_diversity_attribute("category");
-        let pipeline = AnalysisPipeline::new();
+        let pipeline = AnalysisPipeline::sequential();
         let ctx = pipeline.prepare(Arc::new(table), Arc::new(config)).unwrap();
         let label = pipeline.render(&ctx).unwrap();
         prop_assert_eq!(label.ranked_items, rows);

@@ -4,10 +4,13 @@
 //! Request jobs, widget jobs and Monte-Carlo trial batches all run on the
 //! label service's scheduler, so a server started with `workers` label
 //! workers runs `workers` `rf-runtime-*` threads in all — none for a second
-//! pool, and none for the process-wide pool.  The count is read from
+//! pool.  Nothing starts a pool behind the caller's back either: a label
+//! through `NutritionalLabel::generate`, or the stats of a service over the
+//! sequential reference, run no scheduler thread.  The count is read from
 //! `/proc/self/task`, so this file holds a single test: no other test of the
 //! process can start a scheduler while it counts.
 
+use rf_core::{AnalysisPipeline, LabelService, NutritionalLabel};
 use rf_server::{DatasetCatalog, Server, ServerConfig};
 use std::io::Write;
 use std::net::TcpStream;
@@ -26,12 +29,19 @@ fn runtime_threads() -> usize {
 #[test]
 fn a_running_server_has_exactly_workers_scheduler_threads() {
     const WORKERS: usize = 3;
+    let catalog = DatasetCatalog::with_demo_datasets();
+    let compas = catalog.get("compas").expect("demo dataset");
+    let label = NutritionalLabel::generate(&compas.table, &compas.config).expect("label");
+    assert_eq!(label.ranked_items, compas.table.num_rows());
+    let sequential = LabelService::with_pipeline(AnalysisPipeline::sequential(), 8, 1 << 20);
+    assert_eq!(sequential.stats().scheduler.workers, 0);
+    assert_eq!(runtime_threads(), 0, "no pool was built, so none may run");
+
     let config = ServerConfig {
         bind_address: "127.0.0.1:0".to_string(),
         ..ServerConfig::default()
     };
-    let server =
-        Server::bind(DatasetCatalog::with_demo_datasets(), WORKERS, &config).expect("bind");
+    let server = Server::bind(catalog, WORKERS, &config).expect("bind");
     let addr = server.local_addr().expect("addr");
     let shutdown = server.shutdown_handle();
     let handle = std::thread::spawn(move || server.run().expect("server run"));
