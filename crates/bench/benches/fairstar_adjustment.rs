@@ -3,9 +3,12 @@
 //! Compares the cost of the adjusted vs. unadjusted test and reports (in the
 //! bench log) how often each verdict differs on mildly skewed rankings —
 //! the adjusted test is more conservative, which is exactly why FA*IR does it.
+//! The `failure_probability` group times the exact dynamic program the
+//! adjustment's bisection runs on each new table.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rf_fairness::{adjust_alpha, FairStarTest, ProtectedGroup};
+use rf_fairness::fair_star::failure_probability;
+use rf_fairness::{adjust_alpha, minimum_protected_table, FairStarTest, ProtectedGroup};
 use rf_ranking::Ranking;
 use std::hint::black_box;
 
@@ -22,6 +25,22 @@ fn adjustment_cost(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, &k| {
             b.iter(|| black_box(adjust_alpha(k, 0.33, 0.05).unwrap()));
         });
+    }
+    group.finish();
+}
+
+fn failure_probability_cost(c: &mut Criterion) {
+    // One DP on the table the adjustment settles on, the kind of table its
+    // bisection probes.
+    let mut group = c.benchmark_group("failure_probability");
+    for &p in &[0.1, 0.3, 0.5] {
+        for &k in &[10usize, 50, 100, 200] {
+            let alpha = adjust_alpha(k, p, 0.05).unwrap();
+            let table = minimum_protected_table(k, p, alpha).unwrap();
+            group.bench_with_input(BenchmarkId::new(format!("p={p}"), k), &table, |b, table| {
+                b.iter(|| black_box(failure_probability(black_box(table), p)));
+            });
+        }
     }
     group.finish();
 }
@@ -71,5 +90,10 @@ fn verdict_difference(c: &mut Criterion) {
     bench_group.finish();
 }
 
-criterion_group!(benches, adjustment_cost, verdict_difference);
+criterion_group!(
+    benches,
+    adjustment_cost,
+    failure_probability_cost,
+    verdict_difference
+);
 criterion_main!(benches);

@@ -25,18 +25,23 @@
 //!
 //! **Cost.** One test builds the binomial CDFs of all its prefixes once, as
 //! running pmf sums in the order `rf_stats` adds them: about `p·k²/2` O(1)
-//! pmf terms.  Every table, the adjustment and the per-prefix p-values read
-//! from them, so each minimum table costs O(k log k), and the adjustment's
-//! 50-step bisection runs its O(k²) dynamic program only for tables it has
-//! not already evaluated at an end of the search interval.  The sums are
-//! capped at 8 MiB per test; a larger `k` reads every CDF from `rf_stats`
-//! directly, as before, in O(k) memory.  Every result has exactly the bits
-//! of the direct computation.
+//! pmf terms, since each row stops after its first sum above the test's
+//! level.  Every table, the adjustment and the per-prefix p-values read
+//! from them.  A minimum table is one O(k) walk over the rows: each prefix's
+//! answer starts from the previous prefix's, which it differs from by at
+//! most one in exact arithmetic.  The exact failure probability of a table
+//! is a dynamic program over only the protected counts that can still fail
+//! (above every cut so far, below every requirement still to come), in two
+//! buffers allocated once per call; the adjustment's 50-step bisection runs
+//! it only for tables it has not already evaluated at an end of the search
+//! interval.  The sums are capped at 8 MiB per test; a larger `k` reads
+//! every CDF from `rf_stats` directly, as before, in O(k) memory.  Every
+//! result has exactly the bits of the direct computation.
 
 use crate::error::{FairnessError, FairnessResult};
 use crate::group::ProtectedGroup;
 use rf_ranking::Ranking;
-use rf_stats::{binomial_cdf, binomial_pmf, binomial_quantile};
+use rf_stats::{binomial_cdf, binomial_pmf_row, binomial_quantile};
 
 /// Most running sums one [`PrefixCdf`] stores: 2²⁰ f64s, 8 MiB.  That
 /// covers `k` up to about 2000 at `p = 0.5`; `top_k` is bounded only by the
@@ -48,8 +53,8 @@ const MAX_STORED_SUMS: usize = 1 << 20;
 ///
 /// Row `i` holds the running sums of `binomial_pmf(j; i, p)` for
 /// `j = 0, 1, …`, added in the order [`binomial_cdf`] and
-/// [`binomial_quantile`] add them, so [`cdf`](PrefixCdf::cdf) and
-/// [`quantile`](PrefixCdf::quantile) return exactly those functions' bits.
+/// [`binomial_quantile`] add them, so [`cdf`](PrefixCdf::cdf) and the
+/// minimum tables return exactly the bits of those functions.
 /// A row stops after its first sum above `level`: no table at a level up to
 /// `level` looks further, so the rows hold about `p·k²/2` sums, not `k²`.
 /// When that exceeds [`MAX_STORED_SUMS`], no rows are kept and every lookup
@@ -93,9 +98,7 @@ impl PrefixCdf {
     }
 
     fn row(&self, i: usize) -> Option<&[f64]> {
-        self.rows
-            .as_ref()
-            .map(|rows| &rows.sums[rows.starts[i - 1]..rows.starts[i]])
+        self.rows.as_ref().map(|rows| rows.row(i))
     }
 
     /// `binomial_cdf(m, i, p)`, bit for bit.
@@ -109,22 +112,19 @@ impl PrefixCdf {
         }
     }
 
-    /// `binomial_quantile(q, i, p)` for `0 ≤ q ≤ self.level`, bit for bit.
+    /// `binomial_quantile(q, i, p)`: where each prefix of a table without
+    /// stored rows starts its search.
     fn quantile(&self, q: f64, i: usize) -> FairnessResult<usize> {
-        let Some(row) = self.row(i) else {
-            return Ok(binomial_quantile(q, i as u64, self.p)? as usize);
-        };
-        // Running sums never decrease, so the first one reaching the target
-        // is a partition point.  A cut row ends above `level ≥ q`; only a
-        // full row (`i + 1` sums) can stay below the target throughout, and
-        // then `binomial_quantile` answers `i`.
-        let m = row.partition_point(|&sum| sum < q - 1e-12);
-        debug_assert!(m < row.len() || row.len() == i + 1, "q above level");
-        Ok(m.min(i))
+        Ok(binomial_quantile(q, i as u64, self.p)? as usize)
     }
 
-    /// [`minimum_protected_table`] at `alpha ≤ self.level`.
+    /// [`minimum_protected_table`] at `alpha ≤ self.level`: an O(k) walk
+    /// over the stored rows, or per prefix a quantile search and step loop
+    /// over the `rf_stats` functions when no rows are kept.
     fn minimum_table(&self, alpha: f64) -> FairnessResult<Vec<usize>> {
+        if let Some(rows) = &self.rows {
+            return Ok(rows.minimum_table(self.k, alpha));
+        }
         let mut table = Vec::with_capacity(self.k);
         for i in 1..=self.k {
             // Smallest m with F(m; i, p) > alpha.  The binomial quantile
@@ -145,8 +145,8 @@ impl PrefixCdf {
     /// [`adjust_alpha`] for `alpha = self.level`.
     ///
     /// Bisection over `α_c ∈ (0, alpha]`; the failure probability is a
-    /// non-decreasing step function of `α_c`.  Each probe's table costs
-    /// O(k log k) here, and the O(k²) [`failure_probability`] runs only for
+    /// non-decreasing step function of `α_c`.  Each probe's table is an O(k)
+    /// walk over the stored rows, and [`failure_probability`] runs only for
     /// a table that differs from both ends of the interval: late probes land
     /// on one of the two boundary tables, whose failures are carried along.
     fn adjust_alpha(&self) -> FairnessResult<f64> {
@@ -210,11 +210,11 @@ impl Rows {
         starts.push(0);
         for i in 1..=k as u64 {
             let mut acc = 0.0;
-            for j in 0..=i {
+            for pmf in binomial_pmf_row(i, p)? {
                 if sums.len() == budget {
                     return Ok(None);
                 }
-                acc += binomial_pmf(j, i, p)?;
+                acc += pmf;
                 sums.push(acc);
                 if acc > level {
                     break;
@@ -223,6 +223,39 @@ impl Rows {
             starts.push(sums.len());
         }
         Ok(Some(Rows { starts, sums }))
+    }
+
+    /// The running sums of prefix length `i ∈ 1..=k`.
+    fn row(&self, i: usize) -> &[f64] {
+        &self.sums[self.starts[i - 1]..self.starts[i]]
+    }
+
+    /// The minimum table at `alpha ≤ level`, in O(k) row reads.
+    ///
+    /// Prefix `i` needs the smallest `m < i` with `F(m; i, p) > alpha`, or
+    /// `i` when there is none; that is what the quantile search and step
+    /// loop of the direct computation return, since `alpha < 1` and a row's
+    /// sums never decrease.  The walk starts from prefix `i − 1`'s answer.
+    /// In exact arithmetic the answer then stays or moves up by one; the
+    /// backward step keeps the walk exact where rounding says otherwise.
+    fn minimum_table(&self, k: usize, alpha: f64) -> Vec<usize> {
+        let mut table = Vec::with_capacity(k);
+        let mut m = 0;
+        for i in 1..=k {
+            let row = self.row(i);
+            // A cut row ends with a sum above `level ≥ alpha`, so a missing
+            // sum lies past the answer.
+            while m > 0 && row.get(m - 1).is_none_or(|&sum| sum > alpha) {
+                m -= 1;
+            }
+            // Stops inside the row: a cut row's last sum exceeds `alpha`, and
+            // a full row holds `i + 1` sums.
+            while m < i && row[m] <= alpha {
+                m += 1;
+            }
+            table.push(m);
+        }
+        table
     }
 }
 
@@ -242,32 +275,56 @@ pub fn minimum_protected_table(k: usize, p: f64, alpha: f64) -> FairnessResult<V
 ///
 /// Computed with a dynamic program over (position, protected count) states;
 /// states that fall below the required minimum at a position are removed and
-/// their mass accumulated as failure probability.  Costs O(k²).
+/// their mass accumulated, in ascending count, as failure probability.  Each
+/// position updates only the window of counts that can still fail: counts
+/// below the highest cut so far hold no mass, and a count at or above every
+/// requirement still to come can never fail, so its mass never reaches the
+/// sum.  A table that only rises (as minimum tables do) therefore costs
+/// O(k·w) for a window of width `w ≤ max(m_table)`, in two buffers
+/// allocated once.  The result has exactly the bits of the dense O(k²)
+/// program.
 #[must_use]
 pub fn failure_probability(m_table: &[usize], p: f64) -> f64 {
     let k = m_table.len();
-    // state[c] = probability of having exactly c protected so far and never
-    // having violated a prefix constraint.
-    let mut state = vec![0.0f64; k + 1];
-    state[0] = 1.0;
+    // ceiling[pos] = the largest requirement at positions pos.., the first
+    // count that can never fail from there on.
+    let mut ceiling = vec![0usize; k + 1];
+    for pos in (0..k).rev() {
+        ceiling[pos] = ceiling[pos + 1].max(m_table[pos]);
+    }
+    // Slot c + 1 holds the probability of exactly c protected so far without
+    // a violation; slot 0 (count −1) stays zero.  A position writes its
+    // window and a zero guard just below it.  The next position reads only
+    // those slots and the one count above the window, which no position has
+    // written yet, so it still holds its initial zero.
+    let mut state = vec![0.0f64; k + 2];
+    let mut next = vec![0.0f64; k + 2];
+    state[1] = 1.0;
+    let q = 1.0 - p;
+    // Every count below `lo` has been cut, so its mass is zero.
+    let mut lo = 0;
     let mut failure = 0.0;
     for (pos, &required) in m_table.iter().enumerate() {
-        let mut next = vec![0.0f64; k + 1];
-        for (c, &mass) in state.iter().enumerate().take(pos + 1) {
-            if mass == 0.0 {
-                continue;
-            }
-            next[c + 1] += mass * p;
-            next[c] += mass * (1.0 - p);
+        // Counts reachable after pos + 1 positions that can still fail.
+        let end = (pos + 2).min(ceiling[pos]);
+        if lo >= end {
+            break;
         }
-        // Remove states that violate the constraint for prefix length pos+1.
-        for (c, slot) in next.iter_mut().enumerate().take(pos + 2) {
-            if c < required {
-                failure += *slot;
-                *slot = 0.0;
-            }
+        // next[c] = state[c − 1]·p + state[c]·(1 − p).  The dense program
+        // adds into a zeroed slot and skips zero-mass states; with
+        // non-negative masses both give these bits.
+        let (below, at) = (&state[lo..end], &state[lo + 1..=end]);
+        for ((slot, &below), &at) in next[lo + 1..=end].iter_mut().zip(below).zip(at) {
+            *slot = below * p + at * q;
         }
-        state = next;
+        next[lo] = 0.0;
+        // Remove the counts that violate the constraint for prefix pos + 1.
+        for slot in &mut next[lo + 1..=required.clamp(lo, end)] {
+            failure += *slot;
+            *slot = 0.0;
+        }
+        lo = lo.max(required);
+        std::mem::swap(&mut state, &mut next);
     }
     failure.clamp(0.0, 1.0)
 }
@@ -280,8 +337,9 @@ pub fn failure_probability(m_table: &[usize], p: f64) -> f64 {
 /// probability is a non-decreasing step function of `α_c`.  The binomial
 /// CDFs of all prefixes are built once (about `p·k²/2` pmf terms, up to
 /// 8 MiB; a larger `k` computes each CDF directly), each probe's table is
-/// then O(k log k), and the O(k²) exact failure probability runs only for
-/// tables not already seen at an end of the interval.
+/// then an O(k) walk over them, and the windowed exact
+/// [`failure_probability`] runs only for tables not already seen at an end
+/// of the interval.
 ///
 /// # Errors
 /// Returns an error unless `0 < p < 1`, `0 < alpha < 1`, and `k > 0`.
@@ -452,8 +510,39 @@ mod tests {
             .collect()
     }
 
+    /// The failure probability as a dense O(k²) dynamic program that
+    /// allocates a fresh state vector per position: the oracle the windowed
+    /// [`failure_probability`] must match bit for bit.
+    fn reference_failure_probability(m_table: &[usize], p: f64) -> f64 {
+        let k = m_table.len();
+        // state[c] = probability of having exactly c protected so far and never
+        // having violated a prefix constraint.
+        let mut state = vec![0.0f64; k + 1];
+        state[0] = 1.0;
+        let mut failure = 0.0;
+        for (pos, &required) in m_table.iter().enumerate() {
+            let mut next = vec![0.0f64; k + 1];
+            for (c, &mass) in state.iter().enumerate().take(pos + 1) {
+                if mass == 0.0 {
+                    continue;
+                }
+                next[c + 1] += mass * p;
+                next[c] += mass * (1.0 - p);
+            }
+            // Remove states that violate the constraint for prefix length pos+1.
+            for (c, slot) in next.iter_mut().enumerate().take(pos + 2) {
+                if c < required {
+                    failure += *slot;
+                    *slot = 0.0;
+                }
+            }
+            state = next;
+        }
+        failure.clamp(0.0, 1.0)
+    }
+
     fn reference_adjust_alpha(k: usize, p: f64, alpha: f64) -> f64 {
-        if failure_probability(&reference_table(k, p, alpha), p) <= alpha {
+        if reference_failure_probability(&reference_table(k, p, alpha), p) <= alpha {
             return alpha;
         }
         let mut lo = 0.0f64;
@@ -463,7 +552,7 @@ mod tests {
             if mid <= 0.0 {
                 break;
             }
-            if failure_probability(&reference_table(k, p, mid), p) > alpha {
+            if reference_failure_probability(&reference_table(k, p, mid), p) > alpha {
                 hi = mid;
             } else {
                 lo = mid;
@@ -604,6 +693,85 @@ mod tests {
         }
     }
 
+    /// A requirement table with one entry per share.  Shape 0 draws entries
+    /// from `0..=len + 3` in any order, many above the `pos + 2` counts a
+    /// prefix can reach; shape 1 is all zero; shapes 2 and 3 stay near
+    /// FA*IR's tables (at most 0.6 of the prefix), in any order and rising.
+    fn arbitrary_table(shares: &[f64], shape: u8) -> Vec<usize> {
+        let len = shares.len();
+        let mut rising = 0;
+        shares
+            .iter()
+            .enumerate()
+            .map(|(pos, &share)| match shape {
+                0 => (share * (len + 4) as f64) as usize,
+                1 => 0,
+                2 => (share * 0.6 * (pos + 1) as f64) as usize,
+                _ => {
+                    rising = rising.max((share * 0.6 * (pos + 1) as f64) as usize);
+                    rising
+                }
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn failure_probability_matches_dense_reference_bit_for_bit(
+            shares in prop::collection::vec(0.0..1.0f64, 0..=300),
+            shape in 0u8..4,
+            p in 0.001..=0.999f64,
+        ) {
+            let table = arbitrary_table(&shares, shape);
+            prop_assert_eq!(
+                failure_probability(&table, p).to_bits(),
+                reference_failure_probability(&table, p).to_bits(),
+                "table {:?} at p = {}", table, p
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn minimum_protected_table_walk_matches_reference(
+            k in 1usize..301,
+            p in 0.001..0.999f64,
+            level in 0.001..0.5f64,
+        ) {
+            // The walk at the rows' own level, where each row's last sum is
+            // the first above it, and far below, where answers sit low in
+            // the rows.
+            let cdfs = PrefixCdf::new(k, p, level).unwrap();
+            prop_assert!(cdfs.rows.is_some());
+            for alpha in [level, level * 1e-6] {
+                prop_assert_eq!(
+                    cdfs.minimum_table(alpha).unwrap(),
+                    reference_table(k, p, alpha),
+                    "alpha = {}", alpha
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn minimum_table_walk_matches_reference_with_full_rows() {
+        // At a level this close to 1 most answers are capped at `i` and some
+        // rows keep all their sums.
+        let level = 1.0 - f64::EPSILON / 2.0;
+        for p in [0.1, 0.5, 0.9] {
+            let cdfs = PrefixCdf::new(60, p, level).unwrap();
+            assert_eq!(
+                cdfs.minimum_table(level).unwrap(),
+                reference_table(60, p, level),
+                "p={p}"
+            );
+        }
+    }
+
     fn group_from(members: &[bool]) -> ProtectedGroup {
         ProtectedGroup::from_membership("g", "x", members.to_vec()).unwrap()
     }
@@ -653,6 +821,7 @@ mod tests {
     fn failure_probability_zero_for_trivial_table() {
         // Requiring zero protected everywhere can never fail.
         assert_eq!(failure_probability(&[0, 0, 0, 0], 0.5), 0.0);
+        assert_eq!(failure_probability(&[], 0.5), 0.0);
     }
 
     #[test]
@@ -672,6 +841,9 @@ mod tests {
         // Failure = (1-p)^2.
         let f = failure_probability(&[0, 1], 0.3);
         assert!((f - 0.49).abs() < 1e-12);
+        // A requirement above the prefix length fails every ranking.
+        let f = failure_probability(&[0, 5, 0], 0.3);
+        assert!((f - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -149,6 +149,35 @@ pub fn binomial_pmf(k: u64, n: u64, p: f64) -> StatsResult<f64> {
     Ok(log_pmf.exp())
 }
 
+/// The pmf of `Binomial(n, p)` at `k = 0, 1, …, n`, in that order: term `k`
+/// has exactly the bits of [`binomial_pmf(k, n, p)`](binomial_pmf).
+///
+/// `ln p`, `ln(1 − p)` and `ln n!` are computed once for the row rather than
+/// once per term, and the iterator is lazy, so a caller that stops early
+/// (a running CDF sum that has passed its level) pays only for the terms it
+/// read.  [`binomial_cdf`] and [`binomial_quantile`] add these terms left
+/// to right.
+///
+/// # Errors
+/// Returns an error unless `p ∈ [0, 1]`.
+pub fn binomial_pmf_row(n: u64, p: f64) -> StatsResult<impl Iterator<Item = f64>> {
+    validate_binomial(n, p)?;
+    let ln_n = ln_factorial(n);
+    let (ln_p, ln_q) = (p.ln(), (1.0 - p).ln());
+    Ok((0..=n).map(move |k| {
+        if p == 0.0 {
+            return if k == 0 { 1.0 } else { 0.0 };
+        }
+        if p == 1.0 {
+            return if k == n { 1.0 } else { 0.0 };
+        }
+        // `ln_choose(n, k) + k·ln p + (n − k)·ln(1 − p)`, added in
+        // `binomial_pmf`'s order.
+        let ln_choose = ln_n - ln_factorial(k) - ln_factorial(n - k);
+        (ln_choose + k as f64 * ln_p + (n - k) as f64 * ln_q).exp()
+    }))
+}
+
 /// Cumulative distribution function of `Binomial(n, p)`: `P[X ≤ k]`.
 ///
 /// Sums the pmf left to right over `0..=k`, so one call costs O(k).  Callers
@@ -163,8 +192,8 @@ pub fn binomial_cdf(k: u64, n: u64, p: f64) -> StatsResult<f64> {
         return Ok(1.0);
     }
     let mut acc = 0.0;
-    for i in 0..=k {
-        acc += binomial_pmf(i, n, p)?;
+    for pmf in binomial_pmf_row(n, p)?.take(k as usize + 1) {
+        acc += pmf;
     }
     Ok(acc.min(1.0))
 }
@@ -190,8 +219,8 @@ pub fn binomial_quantile(q: f64, n: u64, p: f64) -> StatsResult<u64> {
         return Ok(0);
     }
     let mut acc = 0.0;
-    for k in 0..=n {
-        acc += binomial_pmf(k, n, p)?;
+    for (k, pmf) in (0..).zip(binomial_pmf_row(n, p)?) {
+        acc += pmf;
         if acc >= q - 1e-12 {
             return Ok(k);
         }
@@ -246,6 +275,7 @@ fn validate_binomial(_n: u64, p: f64) -> StatsResult<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn assert_close(a: f64, b: f64, tol: f64) {
         assert!((a - b).abs() < tol, "{a} != {b} (tol {tol})");
@@ -344,6 +374,41 @@ mod tests {
     fn binomial_pmf_invalid_p_is_error() {
         assert!(binomial_pmf(1, 10, 1.5).is_err());
         assert!(binomial_pmf(1, 10, -0.1).is_err());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn binomial_pmf_row_matches_binomial_pmf_bit_for_bit(
+            n in 0u64..=600,
+            p in 0.0..=1.0f64,
+        ) {
+            // n crosses 256, where `ln n!` leaves the table for Stirling's
+            // series, so both branches feed the hoisted expression.
+            let row: Vec<f64> = binomial_pmf_row(n, p).unwrap().collect();
+            prop_assert_eq!(row.len() as u64, n + 1);
+            for (k, term) in (0..=n).zip(row) {
+                prop_assert_eq!(
+                    term.to_bits(),
+                    binomial_pmf(k, n, p).unwrap().to_bits(),
+                    "pmf({}; {}, {})", k, n, p
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn binomial_pmf_row_degenerate_and_invalid_p() {
+        for p in [0.0, 1.0] {
+            for n in [0u64, 1, 7] {
+                let row: Vec<f64> = binomial_pmf_row(n, p).unwrap().collect();
+                let direct: Vec<f64> = (0..=n).map(|k| binomial_pmf(k, n, p).unwrap()).collect();
+                assert_eq!(row, direct, "n={n} p={p}");
+            }
+        }
+        assert!(binomial_pmf_row(10, 1.5).is_err());
+        assert!(binomial_pmf_row(10, f64::NAN).is_err());
     }
 
     #[test]

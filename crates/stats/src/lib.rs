@@ -42,7 +42,8 @@ pub use descriptive::{
     max, mean, median, min, quantile, stddev, tie_averaged_ranks, variance, Summary,
 };
 pub use distributions::{
-    binomial_cdf, binomial_pmf, binomial_quantile, normal_cdf, normal_pdf, normal_quantile,
+    binomial_cdf, binomial_pmf, binomial_pmf_row, binomial_quantile, normal_cdf, normal_pdf,
+    normal_quantile,
 };
 pub use error::{StatsError, StatsResult};
 pub use histogram::Histogram;
