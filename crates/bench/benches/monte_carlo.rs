@@ -278,12 +278,12 @@ fn tile_rows_sweep(c: &mut Criterion) {
     for rows in [1_000usize, 10_000, 100_000] {
         let (table, config) = synth_scenario(rows);
         let scoring = config.scoring.clone();
-        let original_order = scoring.rank_table(&table).expect("ranking").order();
+        let ranking = scoring.rank_table(&table).expect("ranking");
         for (scenario, data_noise, weight_noise) in
             [("noisy", 0.05, 0.05), ("weight-only", 0.0, 0.05)]
         {
-            let kernel =
-                TrialKernel::fit(&table, &scoring, data_noise, weight_noise).expect("kernel fit");
+            let kernel = TrialKernel::fit(&table, &scoring, &ranking, data_noise, weight_noise)
+                .expect("kernel fit");
             let mut scratch = kernel.scratch();
             group.bench_function(BenchmarkId::new(format!("tiled-{scenario}"), rows), |b| {
                 b.iter(|| {
@@ -291,7 +291,7 @@ fn tile_rows_sweep(c: &mut Criterion) {
                     kernel
                         .rank_trial(&mut rng, black_box(&mut scratch))
                         .expect("rank_trial");
-                    scratch.kendall_tau_against(&original_order)
+                    scratch.kendall_tau()
                 });
             });
         }
@@ -460,18 +460,18 @@ fn emit_report(c: &mut Criterion) {
     // (noise draws dominate as rows grow) and a weight-jitter-only trial
     // (scoring + argsort + tau).
     let mut rows_entries = Vec::new();
-    for rows in [1_000usize, 10_000, 100_000, 1_000_000] {
+    for rows in [1_000usize, 10_000, 20_000, 100_000, 1_000_000] {
         let (table, config) = synth_scenario(rows);
         let scoring = config.scoring.clone();
-        let original_order = scoring.rank_table(&table).expect("ranking").order();
+        let ranking = scoring.rank_table(&table).expect("ranking");
         let trials = (2_000_000 / rows).clamp(2, 64);
         let rounds = if rows >= 1_000_000 { 7 } else { 15 };
         for (scenario, data_noise, weight_noise) in [
             ("default-noise", 0.05, 0.05),
             ("weight-noise-only", 0.0, 0.05),
         ] {
-            let kernel =
-                TrialKernel::fit(&table, &scoring, data_noise, weight_noise).expect("kernel fit");
+            let kernel = TrialKernel::fit(&table, &scoring, &ranking, data_noise, weight_noise)
+                .expect("kernel fit");
             let relaxed = kernel.clone().with_relaxed_fp(true);
             let mut scratch = kernel.scratch();
             let mut relaxed_scratch = relaxed.scratch();
@@ -480,7 +480,7 @@ fn emit_report(c: &mut Criterion) {
                     kernel
                         .rank_trial(&mut trial_rng(42, trial), &mut scratch)
                         .expect("rank_trial");
-                    black_box(scratch.kendall_tau_against(&original_order));
+                    black_box(scratch.kendall_tau());
                 }
             };
             let mut run_relaxed = || {
@@ -488,7 +488,7 @@ fn emit_report(c: &mut Criterion) {
                     relaxed
                         .rank_trial(&mut trial_rng(42, trial), &mut relaxed_scratch)
                         .expect("rank_trial");
-                    black_box(relaxed_scratch.kendall_tau_against(&original_order));
+                    black_box(relaxed_scratch.kendall_tau());
                 }
             };
             let medians = interleaved_medians_ns_per_trial(
@@ -519,7 +519,7 @@ fn emit_report(c: &mut Criterion) {
          \"materialized\": \"evaluate_materialized reference: perturbed Table per draw, unperturbed columns Arc-shared\",\n    \
          \"columnar\": \"TrialKernel hot path: flat column buffers, reusable scratch, no per-trial tables\"\n  }},\n  \
          \"scenarios\": [\n{}\n  ],\n  \"batch_sweep_rows_2000_trials_256\": [\n{}\n  ],\n  \
-         \"rows_sweep_schema_note\": \"each entry: one synthetic dense scenario (rf_datasets::SynthScenarioConfig, 4 score columns, min-max recipe) at the given row count; a trial is the kernel's re-rank plus Kendall's tau against the original ranking (blocked Fenwick inversion count); tiled is the blocked TILE-row kernel (stable radix argsort), tiled_relaxed_fp additionally reassociates float reductions (~1e-9 relative score drift, off by default); noise draws come from the ziggurat sampler\",\n  \
+         \"rows_sweep_schema_note\": \"each entry: one synthetic dense scenario (rf_datasets::SynthScenarioConfig, 4 score columns, min-max recipe) at the given row count; a trial is the kernel's re-rank plus Kendall's tau against the original ranking (blocked Fenwick inversion count read in order off the argsort's original positions); tiled is the blocked TILE-row kernel (packed 8-byte byte-pass argsort), tiled_relaxed_fp additionally reassociates float reductions (~1e-9 relative score drift, off by default); noise draws come from the ziggurat sampler\",\n  \
          \"rows_sweep\": [\n{}\n  ]\n}}\n",
         host_json(),
         scenario_entries.join(",\n"),

@@ -6,61 +6,67 @@
 //! cargo run -p rf-bench --bin figure2_stability
 //! ```
 
-use rf_bench::{cs_label_config, cs_table, print_banner};
+use rf_bench::{cs_label_config, cs_table, write_to_stdout, Banner};
 use rf_core::AnalysisPipeline;
 use std::sync::Arc;
 
-fn main() {
-    print_banner("Figure 2 — Stability: detailed widget (CS departments)");
-    let pipeline = AnalysisPipeline::sequential();
-    let ctx = pipeline
-        .prepare(Arc::new(cs_table()), Arc::new(cs_label_config()))
-        .expect("prepare");
-    let label = pipeline.render(&ctx).expect("CS label");
-    let slope = &label.stability.slope;
-    let scores = ctx.ranking.scores_in_rank_order();
+fn main() -> std::process::ExitCode {
+    write_to_stdout(|out| {
+        out.banner("Figure 2 — Stability: detailed widget (CS departments)")?;
+        let pipeline = AnalysisPipeline::sequential();
+        let ctx = pipeline
+            .prepare(Arc::new(cs_table()), Arc::new(cs_label_config()))
+            .expect("prepare");
+        let label = pipeline.render(&ctx).expect("CS label");
+        let slope = &label.stability.slope;
+        let scores = ctx.ranking.scores_in_rank_order();
 
-    println!(
+        writeln!(out,
         "Stability threshold: a score distribution is UNSTABLE if the slope is {:.2} or lower.\n",
         slope.threshold
-    );
+    )?;
 
-    for (name, slice, scores) in [
-        ("Top-10", &slope.top_k, &scores[..slope.k]),
-        ("Over-all", &slope.overall, &scores[..]),
-    ] {
-        println!(
-            "{name}: slope magnitude {:.3} (raw {:.3}), intercept {:.3}, R² {:.3} → {}",
-            slice.slope_magnitude,
-            slice.raw_slope,
-            slice.intercept,
-            slice.r_squared,
-            slice.verdict.as_str().to_uppercase()
-        );
-        // ASCII rendition of the score-vs-rank scatter the figure plots.
-        println!("{}", ascii_scatter(scores, 48, 12));
-    }
+        for (name, slice, scores) in [
+            ("Top-10", &slope.top_k, &scores[..slope.k]),
+            ("Over-all", &slope.overall, &scores[..]),
+        ] {
+            writeln!(
+                out,
+                "{name}: slope magnitude {:.3} (raw {:.3}), intercept {:.3}, R² {:.3} → {}",
+                slice.slope_magnitude,
+                slice.raw_slope,
+                slice.intercept,
+                slice.r_squared,
+                slice.verdict.as_str().to_uppercase()
+            )?;
+            // ASCII rendition of the score-vs-rank scatter the figure plots.
+            writeln!(out, "{}", ascii_scatter(scores, 48, 12))?;
+        }
 
-    println!(
-        "Overview verdict: {} (stability score {:.3})",
-        if label.stability.stable {
-            "STABLE"
-        } else {
-            "UNSTABLE"
-        },
-        label.stability.stability_score
-    );
+        writeln!(
+            out,
+            "Overview verdict: {} (stability score {:.3})",
+            if label.stability.stable {
+                "STABLE"
+            } else {
+                "UNSTABLE"
+            },
+            label.stability.stability_score
+        )?;
 
-    println!("\nPer-attribute stability:");
-    for attr in &label.stability.per_attribute {
-        println!(
-            "  {:<12} weight {:>5.2}  slope {:.3}  ({})",
-            attr.attribute,
-            attr.weight,
-            attr.slope_magnitude,
-            attr.verdict.as_str()
-        );
-    }
+        writeln!(out, "\nPer-attribute stability:")?;
+        for attr in &label.stability.per_attribute {
+            writeln!(
+                out,
+                "  {:<12} weight {:>5.2}  slope {:.3}  ({})",
+                attr.attribute,
+                attr.weight,
+                attr.slope_magnitude,
+                attr.verdict.as_str()
+            )?;
+        }
+        Ok(())
+    })
 }
 
 /// Plots scores (already in rank order) as a crude ASCII scatter:

@@ -5,18 +5,19 @@
 //! cargo run -p rf-bench --bin scenario_german
 //! ```
 
-use rf_bench::{german_credit_scenario, print_banner};
+use rf_bench::{german_credit_scenario, write_to_stdout, Banner};
 use rf_core::NutritionalLabel;
 
-fn main() {
-    print_banner("Scenario 3 — German credit (1,000 applicants)");
-    let (table, config) = german_credit_scenario(1_000);
-    let label = NutritionalLabel::generate(&table, &config).expect("label");
-    println!("{}", label.to_text());
+fn main() -> std::process::ExitCode {
+    write_to_stdout(|out| {
+        out.banner("Scenario 3 — German credit (1,000 applicants)")?;
+        let (table, config) = german_credit_scenario(1_000);
+        let label = NutritionalLabel::generate(&table, &config).expect("label");
+        writeln!(out, "{}", label.to_text())?;
 
-    print_banner("Audit summary");
-    for report in &label.fairness.reports {
-        println!(
+        out.banner("Audit summary")?;
+        for report in &label.fairness.reports {
+            writeln!(out,
             "{} = {:<8}  FA*IR {}  Pairwise {} (θ = {:.3})  Proportion {} (top-k {:.2} vs all {:.2})",
             report.attribute,
             report.protected_value,
@@ -26,16 +27,19 @@ fn main() {
             if report.proportion.fair { "fair  " } else { "UNFAIR" },
             report.proportion.top_k_proportion,
             report.proportion.overall_proportion,
-        );
-    }
-    for report in &label.diversity.reports {
-        if !report.missing_from_top_k.is_empty() {
-            println!(
-                "diversity: categories of `{}` missing from the top-{}: {}",
-                report.attribute,
-                report.k,
-                report.missing_from_top_k.join(", ")
-            );
+        )?;
         }
-    }
+        for report in &label.diversity.reports {
+            if !report.missing_from_top_k.is_empty() {
+                writeln!(
+                    out,
+                    "diversity: categories of `{}` missing from the top-{}: {}",
+                    report.attribute,
+                    report.k,
+                    report.missing_from_top_k.join(", ")
+                )?;
+            }
+        }
+        Ok(())
+    })
 }

@@ -16,6 +16,8 @@ use rf_core::{AnalysisPipeline, LabelConfig, NutritionalLabel};
 use rf_datasets::{CompasConfig, CsDepartmentsConfig, GermanCreditConfig, SynthScenarioConfig};
 use rf_ranking::ScoringFunction;
 use rf_table::Table;
+use std::io::{self, Write};
+use std::process::ExitCode;
 use std::sync::Arc;
 
 /// The paper's CS-departments scoring function:
@@ -130,11 +132,31 @@ pub fn cs_label() -> NutritionalLabel {
         .expect("CS label")
 }
 
-/// Prints a labelled separator used by the regeneration binaries.
-pub fn print_banner(title: &str) {
-    println!("================================================================");
-    println!("{title}");
-    println!("================================================================");
+/// The labelled separator the regeneration binaries write, on any writer.
+pub trait Banner: Write {
+    /// Writes `title` between two rules.
+    fn banner(&mut self, title: &str) -> io::Result<()> {
+        let rule = "=".repeat(64);
+        writeln!(self, "{rule}\n{title}\n{rule}")
+    }
+}
+
+impl<W: Write + ?Sized> Banner for W {}
+
+/// Runs a regeneration binary's `body` against a locked stdout.  When the
+/// reader closes the pipe early (`scenario_cs | head -2`) it has all the
+/// output it wants, so the binary ends quietly with exit 0; any other write
+/// error exits 1 with a message.
+pub fn write_to_stdout(body: impl FnOnce(&mut dyn Write) -> io::Result<()>) -> ExitCode {
+    let mut stdout = io::stdout().lock();
+    match body(&mut stdout).and_then(|()| stdout.flush()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(err) if err.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(err) => {
+            eprintln!("error writing output: {err}");
+            ExitCode::FAILURE
+        }
+    }
 }
 
 #[cfg(test)]

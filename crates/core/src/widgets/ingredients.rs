@@ -21,8 +21,8 @@
 //! Near-linear in the table, with one sort per numeric attribute and none
 //! for the scores.  The scores' tie-averaged ranks are read off the
 //! ranking's order once per label ([`rf_stats::tie_averaged_ranks`]).  Each
-//! attribute is read in place, mean-imputed, and sorted once as
-//! `(sort key, row)` pairs ([`rf_ranking::sort_descending`]); that one order
+//! attribute is read in place, mean-imputed, and sorted once
+//! ([`rf_ranking::sort_descending`]); that one order
 //! gives both its Spearman ranks and the top-`depth` prefix the rank-aware
 //! association compares with the ranking.  The standardization looks each
 //! column's parameters up once, the regression refills one design-row
@@ -169,7 +169,7 @@ impl IngredientsWidget {
             // The attribute's one sort: its rows best first, which gives its
             // Spearman ranks and the ranking it alone would induce.
             let order = sort_descending(&filled);
-            let ranks = tie_averaged_ranks(&order, |&(_, row)| row, |a, b| a.0 == b.0);
+            let ranks = tie_averaged_ranks(&order, |&row| row, |&a, &b| filled[a] == filled[b]);
             let signed = match spearman_with_ranks(&filled, &scores, &ranks, &score_ranks) {
                 Ok(rho) => rho,
                 Err(rf_stats::StatsError::ZeroVariance { .. }) => 0.0,
@@ -178,7 +178,7 @@ impl IngredientsWidget {
             // Rank-aware (top-weighted) agreement between the ranking this
             // attribute alone would produce and the observed ranking.
             let top_weighted =
-                rank_aware_association_of_order(ranking, order.iter().map(|&(_, row)| row), depth)?;
+                rank_aware_association_of_order(ranking, order.iter().copied(), depth)?;
             all_attributes.push(Ingredient {
                 attribute: name.to_string(),
                 rank_association: signed.abs(),

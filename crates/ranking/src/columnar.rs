@@ -5,7 +5,7 @@
 //! that literally: every trial builds a perturbed [`Table`]
 //! ([`TablePerturber::perturb`](crate::TablePerturber::perturb)), re-fits the
 //! scoring function against it, and constructs a fresh
-//! [`Ranking`](crate::Ranking) — per-trial allocations linear in the table
+//! [`Ranking`] — per-trial allocations linear in the table
 //! even though only the scoring columns ever change.
 //!
 //! [`TrialKernel`] restructures that evaluation plan: fit **once** into flat
@@ -14,7 +14,7 @@
 //! trial perturb and score directly in a reusable [`TrialScratch`] — noise
 //! lands in reused buffers, normalization parameters are re-derived from
 //! those buffers, scores accumulate into a reused vector, and the ranking is
-//! an argsort into a reused index vector.  **Zero tables, zero column clones,
+//! an argsort into reused word buffers.  **Zero tables, zero column clones,
 //! zero per-trial allocations** once the scratch has warmed up.
 //!
 //! ## Byte-identity contract
@@ -40,15 +40,20 @@
 //! row→slot map advance together, one contiguous tile at a time).  On the
 //! exact path the per-element operation order inside a tile is unchanged, so
 //! blocking changes no bits — it only hands the compiler fixed-size,
-//! branch-predictable inner loops it can unroll and auto-vectorize.  The
-//! final argsort leaves float comparisons behind entirely: scores are
-//! already verified finite, so each is mapped to a monotone `u64` sort key
-//! ([`descending_sort_key`]) and the `(key, row)` pairs are sorted by a
-//! stable LSD radix sort over reused scratch buffers (comparison sort below
-//! [`RADIX_CUTOFF`] rows).  Ties carry the row index in the key pair and
-//! the radix passes are stable, which reproduces the stable comparator
-//! sort's order exactly.
+//! branch-predictable inner loops it can unroll and auto-vectorize.
 //!
+//! ## The argsort carries the original position
+//!
+//! The finite scores map to monotone `u64` keys ([`descending_sort_key`]),
+//! and `packed_argsort` orders the rows exactly as `(key, row)` pairs
+//! would sort, carrying each row's position in the original ranking as its
+//! payload.  The sorted payloads are the trial's ranking written in original
+//! positions, and a permutation and its inverse have the same inversions,
+//! so Kendall's tau counts them in order (Knight 1966), with no rank vector
+//! scattered or gathered.  The top-k overlap counts the payloads below `k`
+//! among the first `k`; the top item changed when the first payload is not
+//! `0`.
+
 //! ## Relaxed float mode (`relaxed_fp`)
 //!
 //! [`TrialKernel::with_relaxed_fp`] unlocks float-op *reassociation* in the
@@ -64,6 +69,7 @@
 
 use crate::error::{RankingError, RankingResult};
 use crate::perturb::fill_gaussian;
+use crate::ranking::Ranking;
 use crate::score::{MissingValuePolicy, ScoringFunction};
 use rand::Rng;
 use rf_table::{NormalizationMethod, Table, TableError};
@@ -101,6 +107,85 @@ pub fn descending_sort_key(score: f64) -> u64 {
         bits | (1 << 63)
     };
     !ascending
+}
+
+/// Below this many rows a comparison sort of `(key, row)` beats
+/// [`packed_argsort`] (measured on a 2-vCPU Xeon; both give one order).
+pub(crate) const RADIX_CUTOFF: usize = 4 * TILE;
+
+/// Argsorts `values` into `words`, word `i` being `digit << 32 |
+/// payload(row)` for the `i`-th row in the order of `sort_unstable` on
+/// `(descending_sort_key(value), row)` pairs.
+///
+/// All keys share the leading bits that the largest and smallest value's
+/// keys share; the digit is the 32 key bits just below them, sorted by at
+/// most four stable LSD byte passes (a constant byte needs none), which keep
+/// equal digits in row order.  When fewer than 32 bits are shared the digit
+/// drops the key's low bits, so a run of equal digits whose keys differ is
+/// re-sorted by `(key, row)`, with `row_of` mapping payloads back to rows.
+/// Payloads are distinct and the row count fits a `u32`; `words` and its
+/// ping-pong buffer `tmp` may swap.
+pub(crate) fn packed_argsort(
+    values: &[f64],
+    payload: impl Fn(usize) -> u32,
+    row_of: impl Fn(u32) -> usize,
+    words: &mut Vec<u64>,
+    tmp: &mut Vec<u64>,
+) {
+    let n = values.len();
+    debug_assert!(u32::try_from(n).is_ok(), "row count fits a u32");
+    let (lo, hi) = values
+        .iter()
+        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
+            (lo.min(v), hi.max(v))
+        });
+    let shared = (descending_sort_key(hi) ^ descending_sort_key(lo)).leading_zeros();
+    let shift = 32u32.saturating_sub(shared);
+    let mut histograms = [[0u32; 256]; 4];
+    words.clear();
+    words.extend(values.iter().enumerate().map(|(row, &value)| {
+        let digit = (descending_sort_key(value) >> shift) as u32;
+        for (pass, histogram) in histograms.iter_mut().enumerate() {
+            histogram[(digit >> (8 * pass)) as u8 as usize] += 1;
+        }
+        u64::from(digit) << 32 | u64::from(payload(row))
+    }));
+    // Each pass writes a permutation of the words, so `tmp` is resized, not
+    // cleared: a warm buffer pays nothing for the fill.
+    tmp.resize(n, 0);
+    for (pass, histogram) in histograms.iter().enumerate() {
+        if histogram.iter().any(|&count| count as usize == n) {
+            continue;
+        }
+        let mut offsets = [0u32; 256];
+        for bucket in 1..256 {
+            offsets[bucket] = offsets[bucket - 1] + histogram[bucket - 1];
+        }
+        let shift = 32 + 8 * pass;
+        for &word in words.iter() {
+            let bucket = (word >> shift) as u8 as usize;
+            tmp[offsets[bucket] as usize] = word;
+            offsets[bucket] += 1;
+        }
+        std::mem::swap(words, tmp);
+    }
+    if shift == 0 {
+        // The digit is the whole unshared key: equal digits, equal keys.
+        return;
+    }
+    let key = |word: u64| {
+        let row = row_of(word as u32);
+        (descending_sort_key(values[row]), row)
+    };
+    for run in words.chunk_by_mut(|a, b| a >> 32 == b >> 32) {
+        if run.len() < 2 {
+            continue;
+        }
+        let first = key(run[0]).0;
+        if run[1..].iter().any(|&word| key(word).0 != first) {
+            run.sort_unstable_by_key(|&word| key(word));
+        }
+    }
 }
 
 /// One unique scoring column, fitted into flat buffers.
@@ -169,6 +254,12 @@ pub struct TrialKernel {
     static_params: Option<Vec<(f64, f64)>>,
     /// Mean-imputation fallbacks per attribute, pre-computed likewise.
     static_means: Option<Vec<f64>>,
+    /// Per row: its position in the original ranking, the payload the
+    /// argsort carries.  Rows that ranking does not cover (a ranking of
+    /// another table) take the positions after its end.
+    positions: Vec<u32>,
+    /// The inverse of `positions`: the row holding each position.
+    rows_by_position: Vec<u32>,
     /// Whether the post-noise stages may reassociate float operations (lane
     /// sums, reciprocal multiplies, masked gathers).  Default `false`:
     /// byte-identical to the materialized path.
@@ -176,8 +267,8 @@ pub struct TrialKernel {
 }
 
 /// Reusable per-trial working memory: perturbed column buffers, jittered
-/// weights, normalization parameters, scores, and the argsorted index
-/// vectors.  Create once ([`TrialKernel::scratch`]) and reuse across trials —
+/// weights, normalization parameters, scores, and the argsort's words.
+/// Create once ([`TrialKernel::scratch`]) and reuse across trials —
 /// after the first trial, [`TrialKernel::rank_trial`] allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct TrialScratch {
@@ -193,16 +284,12 @@ pub struct TrialScratch {
     means: Vec<f64>,
     /// Per-row scores.
     scores: Vec<f64>,
-    /// Argsort scratch: `(descending sort key, row)` pairs.
-    keys: Vec<(u64, u32)>,
-    /// Ping-pong buffer for the radix argsort passes.  (Keeping key and row
-    /// together in one pair array measured faster than split
-    /// structure-of-arrays buffers: one scatter stream per pass, not two.)
-    keys_tmp: Vec<(u64, u32)>,
-    /// Row indices in rank order (best first) — the trial's ranking.
-    order: Vec<usize>,
-    /// 1-based rank per row index (the perturbed rank vector).
-    rank_of: Vec<usize>,
+    /// The trial's ranking, best first: the low 32 bits of each word are
+    /// the row's position in the original ranking (see [`packed_argsort`]).
+    words: Vec<u64>,
+    /// Ping-pong buffer of the argsort passes; the sort keys below
+    /// [`RADIX_CUTOFF`].
+    tmp: Vec<u64>,
     /// Kendall-tau scratch: one occupancy bit per rank, 64 ranks per word.
     masks: Vec<u64>,
     /// Kendall-tau scratch: the Fenwick tree of seen ranks per mask word.
@@ -210,39 +297,23 @@ pub struct TrialScratch {
 }
 
 impl TrialScratch {
-    /// The trial's ranking as row indices, best first — valid after a
+    /// The trial's ranking, best first, as positions in the original
+    /// ranking the kernel was fitted with: entry `i` is the original
+    /// position of the row this trial ranks `i`-th.  Valid after a
     /// successful [`TrialKernel::rank_trial`].
-    #[must_use]
-    pub fn order(&self) -> &[usize] {
-        &self.order
+    pub fn original_positions(&self) -> impl ExactSizeIterator<Item = usize> + '_ {
+        self.words.iter().map(|&word| word as u32 as usize)
     }
 
-    /// The trial's per-row scores — valid after a successful
-    /// [`TrialKernel::rank_trial`].  Byte-identical to the materialized
-    /// path's scores with `relaxed_fp` off; within the documented epsilon
-    /// with it on.
+    /// Kendall's tau of this trial's ranking against the original one, from
+    /// the inversions of [`original_positions`](Self::original_positions).
+    /// Byte-identical to [`kendall_tau_rankings`](crate::kendall_tau_rankings);
+    /// the caller guarantees the original ranking covers the `n >= 2` rows.
     #[must_use]
-    pub fn scores(&self) -> &[f64] {
-        &self.scores
-    }
-
-    /// The trial's 1-based rank per original row index (the
-    /// [`Ranking::rank_vector`](crate::Ranking::rank_vector) counterpart).
-    #[must_use]
-    pub fn rank_of(&self) -> &[usize] {
-        &self.rank_of
-    }
-
-    /// Kendall's tau of this trial's ranking against `original_order` (the
-    /// original ranking's [`Ranking::order`](crate::Ranking::order)), using
-    /// the scratch's internal buffers.  Byte-identical to
-    /// [`kendall_tau_rankings`](crate::kendall_tau_rankings); the caller
-    /// guarantees both rankings cover the same `n >= 2` items.
-    #[must_use]
-    pub fn kendall_tau_against(&mut self, original_order: &[usize]) -> f64 {
+    pub fn kendall_tau(&mut self) -> f64 {
         crate::compare::kendall_tau_with_scratch(
-            original_order,
-            &self.rank_of,
+            self.words.iter().map(|&word| word as u32 as usize),
+            self.words.len(),
             &mut self.masks,
             &mut self.tree,
         )
@@ -254,7 +325,9 @@ impl TrialKernel {
     /// pre-computes each perturbed column's noise scale (`data_noise ×` its
     /// standard deviation), and — when the data is never perturbed —
     /// pre-computes the trial-invariant normalization parameters and
-    /// mean-imputation fallbacks.
+    /// mean-imputation fallbacks.  `original` is the ranking the trials are
+    /// compared with: each row's position in it is the payload the trial
+    /// argsort carries ([`TrialScratch::original_positions`]).
     ///
     /// Surfaces exactly the errors the materialized path would: unknown or
     /// non-numeric scoring attributes (recipe order), statistics failures
@@ -263,13 +336,21 @@ impl TrialKernel {
     /// constant column under min-max.
     ///
     /// # Errors
-    /// As described above.
+    /// As described above, and [`RankingError::IncomparableRankings`] when
+    /// the table or the ranking has more than `u32::MAX` rows.
     pub fn fit(
         table: &Table,
         scoring: &ScoringFunction,
+        original: &Ranking,
         data_noise: f64,
         weight_noise: f64,
     ) -> RankingResult<Self> {
+        let rows = table.num_rows();
+        if u32::try_from(rows.max(original.len())).is_err() {
+            return Err(RankingError::IncomparableRankings {
+                message: format!("the trial kernel ranks at most {} rows", u32::MAX),
+            });
+        }
         let attr_names: Vec<&str> = scoring.attribute_names();
         // The materialized path validates the recipe attributes first
         // (perturber fit with data noise, `validate_against` without).
@@ -354,8 +435,24 @@ impl TrialKernel {
             })
             .min();
 
+        // Each row's payload is its original position.  A ranking of a
+        // shorter table leaves the last rows uncovered: they take the
+        // positions after its end, so payloads stay distinct and none falls
+        // in its top k.
+        let mut positions: Vec<u32> = original
+            .rank_vector()
+            .into_iter()
+            .take(rows)
+            .map(|rank| (rank - 1) as u32)
+            .collect();
+        positions.extend(original.len() as u32..rows as u32);
+        let mut rows_by_position = vec![0u32; rows.max(original.len())];
+        for (row, &position) in positions.iter().enumerate() {
+            rows_by_position[position as usize] = row as u32;
+        }
+
         let mut kernel = TrialKernel {
-            rows: table.num_rows(),
+            rows,
             normalization: scoring.normalization(),
             missing_policy: scoring.missing_policy(),
             data_noise: has_data_noise,
@@ -365,6 +462,8 @@ impl TrialKernel {
             first_missing,
             static_params: None,
             static_means: None,
+            positions,
+            rows_by_position,
             relaxed_fp: false,
         };
         if !has_data_noise {
@@ -399,12 +498,6 @@ impl TrialKernel {
     pub fn with_relaxed_fp(mut self, relaxed: bool) -> Self {
         self.relaxed_fp = relaxed;
         self
-    }
-
-    /// Whether relaxed float mode is enabled.
-    #[must_use]
-    pub fn relaxed_fp(&self) -> bool {
-        self.relaxed_fp
     }
 
     /// Fresh working memory for this kernel, sized lazily by the first trial.
@@ -499,8 +592,7 @@ impl TrialKernel {
     /// Runs one trial in `scratch`: draw the data noise, jitter the weights,
     /// re-fit the normalization, score every row, and argsort the ranking —
     /// all without allocating once the scratch is warm.  On success
-    /// [`TrialScratch::order`] and [`TrialScratch::rank_of`] hold the trial's
-    /// ranking.
+    /// [`TrialScratch::original_positions`] holds the trial's ranking.
     ///
     /// Consumes `rng` exactly like the materialized trial (perturbed columns
     /// in schema order, one Gaussian per non-missing value; then one uniform
@@ -816,12 +908,12 @@ impl TrialKernel {
         }
 
         // 5. The ranking: the validation and argsort of
-        //    `Ranking::from_scores`, into reused index vectors.  The scores
+        //    `Ranking::from_scores`, into reused word buffers.  The scores
         //    are verified finite first, so the argsort can leave float
         //    comparisons behind: each score maps to a monotone integer key
-        //    ([`descending_sort_key`]) carrying the row index as tie-break,
-        //    and the pairs sort with the stable radix argsort
-        //    ([`radix_argsort_into`]) — no comparator calls, no per-trial
+        //    ([`descending_sort_key`]), ties go to the lower row, and each
+        //    row carries its original position as the payload
+        //    ([`packed_argsort`]) — no comparator calls, no per-trial
         //    allocation, same order bit for bit.
         if scratch.scores.is_empty() {
             return Err(RankingError::EmptyRanking);
@@ -831,64 +923,33 @@ impl TrialKernel {
                 operation: "Ranking::from_scores",
             }));
         }
-        if u32::try_from(self.rows).is_err() {
-            // Rows beyond u32: fall back to the comparator argsort (the
-            // key pair cannot carry the index).  Unreachable on any real
-            // table, kept for completeness.
-            scratch.order.clear();
-            scratch.order.extend(0..self.rows);
-            let scores = &scratch.scores;
-            scratch.order.sort_by(|&a, &b| {
-                scores[b]
-                    .partial_cmp(&scores[a])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
-        } else if self.rows < RADIX_CUTOFF {
-            scratch.keys.clear();
-            scratch.keys.reserve(self.rows);
-            for (base, tile) in scratch.scores.chunks(TILE).enumerate() {
-                let offset = base * TILE;
-                scratch.keys.extend(
-                    tile.iter()
-                        .enumerate()
-                        .map(|(row, &score)| (descending_sort_key(score), (offset + row) as u32)),
-                );
-            }
-            scratch.keys.sort_unstable();
-            scratch.order.clear();
-            scratch
-                .order
-                .extend(scratch.keys.iter().map(|&(_, row)| row as usize));
-        } else {
-            // The byte histograms of every radix pass are accumulated while
-            // the keys are built — one read of the scores, no second pass
-            // over the pairs.
-            scratch.keys.clear();
-            scratch.keys.reserve(self.rows);
-            let mut histograms = [[0u32; 256]; 8];
-            for (base, tile) in scratch.scores.chunks(TILE).enumerate() {
-                let offset = base * TILE;
-                for (row, &score) in tile.iter().enumerate() {
-                    let key = descending_sort_key(score);
-                    for (pass, histogram) in histograms.iter_mut().enumerate() {
-                        histogram[((key >> (pass * 8)) & 0xFF) as usize] += 1;
-                    }
-                    scratch.keys.push((key, (offset + row) as u32));
-                }
-            }
-            radix_argsort_into(
-                &mut scratch.keys,
-                &mut scratch.keys_tmp,
-                &histograms,
-                &mut scratch.order,
+        if self.rows < RADIX_CUTOFF {
+            // A position payload would break ties by position, so sort rows
+            // by `(key, row)` and map them to positions afterwards.
+            scratch.tmp.clear();
+            scratch.tmp.extend(
+                scratch
+                    .scores
+                    .iter()
+                    .map(|&score| descending_sort_key(score)),
             );
-        }
-        // `order` is a permutation of the rows, so the scatter below writes
-        // every slot: resize without clearing — after the first trial the
-        // length already matches and the fill costs nothing.
-        scratch.rank_of.resize(self.rows, 0);
-        for (position, &index) in scratch.order.iter().enumerate() {
-            scratch.rank_of[index] = position + 1;
+            scratch.words.clear();
+            scratch.words.extend(0..self.rows as u64);
+            let keys = &scratch.tmp;
+            scratch
+                .words
+                .sort_unstable_by_key(|&row| (keys[row as usize], row));
+            for word in &mut scratch.words {
+                *word = u64::from(self.positions[*word as usize]);
+            }
+        } else {
+            packed_argsort(
+                &scratch.scores,
+                |row| self.positions[row],
+                |position| self.rows_by_position[position as usize] as usize,
+                &mut scratch.words,
+                &mut scratch.tmp,
+            );
         }
         Ok(())
     }
@@ -903,101 +964,6 @@ impl TrialKernel {
             NormalizationMethod::MinMax => (params.0, 1.0 / (params.1 - params.0)),
             NormalizationMethod::ZScore => (params.0, 1.0 / params.1),
         }
-    }
-}
-
-/// Below this length the comparison sort's constant factor wins; above it
-/// the linear-time radix passes do.  Crossover measured on the bench host
-/// (the exact value is uncritical: both sides produce the same order).
-const RADIX_CUTOFF: usize = 4 * TILE;
-
-/// Argsorts `(key, row)` pairs into ascending key order with a stable
-/// least-significant-byte-first radix sort (256-bucket counting passes,
-/// ping-ponging between `pairs` and `tmp`), leaving the row indices in
-/// `order`.
-///
-/// Order contract: `order` is byte-identical to
-/// `pairs.sort_unstable(); order = rows of pairs`.  The LSD passes are
-/// stable, and the input is built in ascending row order, so equal keys
-/// keep ascending row order — exactly the order the pair comparison
-/// produces.  `histograms[pass][byte]` must count the keys whose byte at
-/// `8·pass` is `byte` (the caller folds that count into key construction);
-/// a pass whose byte is constant across every key is the identity and is
-/// skipped — scores from one trial share sign and magnitude range, so the
-/// high exponent bytes usually cost nothing.  The final pass scatters row
-/// indices straight into `order` instead of moving pairs, saving the
-/// separate extraction walk; when every pass is skippable the keys are all
-/// equal and `order` is the identity.
-fn radix_argsort_into(
-    pairs: &mut [(u64, u32)],
-    tmp: &mut Vec<(u64, u32)>,
-    histograms: &[[u32; 256]; 8],
-    order: &mut Vec<usize>,
-) {
-    let n = pairs.len();
-    let mut active = [false; 8];
-    for (pass, histogram) in histograms.iter().enumerate() {
-        active[pass] = !histogram.iter().any(|&count| count as usize == n);
-    }
-    let Some(last) = (0..8).rev().find(|&pass| active[pass]) else {
-        order.clear();
-        order.extend(0..n);
-        return;
-    };
-    // Every buffer below is fully written before it is read (each scatter
-    // writes a permutation), so resize without clearing — a warm scratch
-    // pays nothing for the fill.
-    tmp.resize(n, (0, 0));
-    order.resize(n, 0);
-    let mut in_pairs = true;
-    for pass in 0..8 {
-        if !active[pass] {
-            continue;
-        }
-        let mut offsets = exclusive_prefix_sum(&histograms[pass]);
-        let shift = pass * 8;
-        if pass == last {
-            let src: &[(u64, u32)] = if in_pairs { pairs } else { tmp };
-            for &(key, row) in src {
-                let bucket = ((key >> shift) & 0xFF) as usize;
-                order[offsets[bucket] as usize] = row as usize;
-                offsets[bucket] += 1;
-            }
-        } else if in_pairs {
-            scatter_by_byte(pairs, tmp, shift, &mut offsets);
-            in_pairs = false;
-        } else {
-            scatter_by_byte(tmp, pairs, shift, &mut offsets);
-            in_pairs = true;
-        }
-    }
-}
-
-/// The starting write offset of each radix bucket: the exclusive prefix
-/// sum of the bucket counts.
-fn exclusive_prefix_sum(histogram: &[u32; 256]) -> [u32; 256] {
-    let mut offsets = [0u32; 256];
-    let mut total = 0u32;
-    for (offset, &count) in offsets.iter_mut().zip(histogram.iter()) {
-        *offset = total;
-        total += count;
-    }
-    offsets
-}
-
-/// One radix pass: distributes `src` into `dst` by the byte at `shift`,
-/// advancing each bucket's write offset.  Stable (source order preserved
-/// within a bucket).
-fn scatter_by_byte(
-    src: &[(u64, u32)],
-    dst: &mut [(u64, u32)],
-    shift: usize,
-    offsets: &mut [u32; 256],
-) {
-    for &pair in src {
-        let bucket = ((pair.0 >> shift) & 0xFF) as usize;
-        dst[offsets[bucket] as usize] = pair;
-        offsets[bucket] += 1;
     }
 }
 
@@ -1025,18 +991,17 @@ fn lane_sum_squared_errors(values: &[f64], mean: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::perturb::{perturb_weights, TablePerturber};
-    use crate::ranking::Ranking;
     use crate::score::ScoringFunction;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
     use rf_table::Column;
 
     #[test]
     fn radix_argsort_matches_the_comparison_sort() {
-        // A deterministic pseudo-random key stream with deliberate
-        // structure: duplicated keys (tie-break must hold), constant high
-        // bytes (pass-skipping must stay stable), and sizes straddling the
-        // comparison-sort cutoff on both sides.
+        // A deterministic pseudo-random value stream with deliberate
+        // structure: duplicated values (the row tie-break must hold), a
+        // narrow range (constant high digit bytes skip their passes) and
+        // sizes straddling the comparison-sort cutoff on both sides.
         let mut state = 0x2545_F491_4F6C_DD1Du64;
         let mut next = move || {
             state ^= state << 13;
@@ -1053,52 +1018,188 @@ mod tests {
             RADIX_CUTOFF + 3,
             3000,
         ] {
-            let pairs: Vec<(u64, u32)> = (0..n)
-                .map(|row| {
-                    // Constant top three bytes, frequent duplicates below.
-                    let key = next() % 4096;
-                    (key, row as u32)
-                })
-                .collect();
-            assert_eq!(
-                radix_order_of(&pairs),
-                comparison_order_of(&pairs),
-                "n = {n}"
-            );
+            let values: Vec<f64> = (0..n).map(|_| (next() % 4096) as f64 * 0.25).collect();
+            assert_eq!(packed_order_of(&values), pair_order_of(&values), "n = {n}");
         }
-        // Full-width keys: every radix pass does real work.
-        let pairs: Vec<(u64, u32)> = (0..2048).map(|row| (next(), row as u32)).collect();
-        assert_eq!(radix_order_of(&pairs), comparison_order_of(&pairs));
-        // All keys equal: every pass is skipped and the order is the
+        // Full-width values of both signs: every digit byte does real work
+        // and the digit drops the keys' low 32 bits.
+        let values: Vec<f64> = (0..2048)
+            .map(|_| f64::from_bits(next() >> 2) - f64::from_bits(next() >> 2))
+            .collect();
+        assert_eq!(packed_order_of(&values), pair_order_of(&values));
+        // All values equal: every pass is skipped and the order is the
         // identity (the stable sort of an already-sorted input).
-        let pairs: Vec<(u64, u32)> = (0..1000).map(|row| (42, row as u32)).collect();
-        assert_eq!(radix_order_of(&pairs), comparison_order_of(&pairs));
-        assert_eq!(radix_order_of(&pairs), (0..1000).collect::<Vec<usize>>());
+        let values = vec![42.0; 1000];
+        assert_eq!(packed_order_of(&values), (0..1000).collect::<Vec<usize>>());
     }
 
-    /// Runs the radix argsort the way `rank_trial` does — histograms
-    /// accumulated alongside the keys — and returns the row order.
-    fn radix_order_of(pairs: &[(u64, u32)]) -> Vec<usize> {
-        let mut pairs = pairs.to_vec();
-        let mut histograms = [[0u32; 256]; 8];
-        for &(key, _) in &pairs {
-            for (pass, histogram) in histograms.iter_mut().enumerate() {
-                histogram[((key >> (pass * 8)) & 0xFF) as usize] += 1;
+    /// The payloads [`packed_argsort`] leaves, run on dirty buffers with the
+    /// row itself as payload: the row order.
+    fn packed_order_of(values: &[f64]) -> Vec<usize> {
+        packed_payloads(values, &(0..values.len() as u32).collect::<Vec<_>>())
+    }
+
+    /// Runs [`packed_argsort`] with `payloads[row]` as each row's payload
+    /// and returns the payloads in sorted order.  The buffers start dirty
+    /// and of the wrong length: the sort must not read stale words.
+    fn packed_payloads(values: &[f64], payloads: &[u32]) -> Vec<usize> {
+        let mut rows_by_payload = vec![0usize; payloads.len()];
+        for (row, &payload) in payloads.iter().enumerate() {
+            rows_by_payload[payload as usize] = row;
+        }
+        let mut words = vec![u64::MAX; values.len() / 2];
+        let mut tmp = vec![7u64; values.len() + 3];
+        packed_argsort(
+            values,
+            |row| payloads[row],
+            |payload| rows_by_payload[payload as usize],
+            &mut words,
+            &mut tmp,
+        );
+        words.iter().map(|&word| word as u32 as usize).collect()
+    }
+
+    /// The reference order: the `(key, row)` pair sort the argsort replaces.
+    fn pair_order_of(values: &[f64]) -> Vec<usize> {
+        let mut pairs: Vec<(u64, usize)> = values
+            .iter()
+            .enumerate()
+            .map(|(row, &value)| (descending_sort_key(value), row))
+            .collect();
+        pairs.sort_unstable();
+        pairs.into_iter().map(|(_, row)| row).collect()
+    }
+
+    /// Row counts the argsort proptest draws from in half its cases: the
+    /// comparison-sort cutoff, and byte-bucket boundaries of the passes.
+    const ARGSORT_EDGE_SIZES: [usize; 9] = [
+        0,
+        1,
+        RADIX_CUTOFF - 1,
+        RADIX_CUTOFF,
+        RADIX_CUTOFF + 1,
+        255,
+        256,
+        257,
+        65_536,
+    ];
+
+    /// Values of one of five shapes, each aimed at a part of the argsort.
+    fn shaped_values(shape: usize, n: usize, rng: &mut ChaCha8Rng) -> Vec<f64> {
+        // A few bases, each with neighbours one and two ulps away: equal
+        // digits whose full keys differ once the range is wide enough.
+        let bases: Vec<f64> = (0..4).map(|_| rng.gen_range(-100.0..100.0)).collect();
+        let near = |rng: &mut ChaCha8Rng| {
+            let base: f64 = bases[rng.gen_range(0..bases.len())];
+            f64::from_bits(base.to_bits() + rng.gen_range(0..3u64))
+        };
+        (0..n)
+            .map(|_| match shape {
+                // Adjacent ulps inside a wide range, so the fix-up runs.
+                0 => {
+                    if rng.gen_range(0..2usize) == 0 {
+                        near(rng)
+                    } else {
+                        rng.gen_range(-1.0e6..1.0e6)
+                    }
+                }
+                // Heavy ties, both zeros among them.
+                1 => [-2.0, -0.5, -0.0, 0.0, 1.0, 3.5][rng.gen_range(0..6usize)],
+                // All equal: the two zeros have one key.
+                2 => {
+                    if rng.gen_range(0..2usize) == 0 {
+                        0.0
+                    } else {
+                        -0.0
+                    }
+                }
+                // Exponents from 2^-1000 to 2^1000 of both signs: the keys
+                // share no bit, the largest shift, plus ulp neighbours.
+                3 => {
+                    if rng.gen_range(0..4usize) == 0 {
+                        near(rng)
+                    } else {
+                        let sign = if rng.gen_range(0..2usize) == 0 {
+                            1.0
+                        } else {
+                            -1.0
+                        };
+                        sign * rng.gen_range(1.0..2.0)
+                            * 2f64.powi(rng.gen_range(0..2000u32) as i32 - 1000)
+                    }
+                }
+                // A trial's scores: one sign, a narrow range.
+                _ => rng.gen_range(0.0..1.0),
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn packed_argsort_matches_the_pair_sort(
+            seed in proptest::prelude::any::<u64>(),
+            shape in 0usize..5,
+            pick in 0usize..2 * ARGSORT_EDGE_SIZES.len(),
+            random_n in 0usize..3000,
+        ) {
+            let n = ARGSORT_EDGE_SIZES.get(pick).copied().unwrap_or(random_n);
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let values = shaped_values(shape, n, &mut rng);
+            // Shuffled payloads, as the trials' original positions are: the
+            // sort must break ties by row, never by payload.
+            let mut payloads: Vec<u32> = (0..n as u32).collect();
+            for i in (1..n).rev() {
+                payloads.swap(i, rng.gen_range(0..=i));
+            }
+            let expected: Vec<usize> = pair_order_of(&values)
+                .into_iter()
+                .map(|row| payloads[row] as usize)
+                .collect();
+            proptest::prop_assert_eq!(packed_payloads(&values, &payloads), expected);
+        }
+
+        #[test]
+        fn relaxed_fp_trial_scores_within_epsilon_of_exact(
+            values in proptest::collection::vec(-1.0e3..1.0e3f64, 8..512),
+            seed in 0u64..1_000_000,
+            method_pick in 0usize..3,
+        ) {
+            // The relaxed-fp kernel draws the same noise from the same RNG
+            // stream as the exact kernel and only reassociates reductions
+            // and division strength; per-row trial scores must stay within
+            // 1e-9 relative error for any data, seed, and normalization.
+            proptest::prop_assume!(values.iter().any(|v| (v - values[0]).abs() > 1e-6));
+            let method = [
+                NormalizationMethod::None,
+                NormalizationMethod::MinMax,
+                NormalizationMethod::ZScore,
+            ][method_pick];
+            let linear: Vec<f64> = (0..values.len()).map(|i| i as f64 * 0.5).collect();
+            let table = Table::from_columns(vec![
+                ("x", Column::from_f64(values)),
+                ("y", Column::from_f64(linear)),
+            ])
+            .unwrap();
+            let scoring = ScoringFunction::with_normalization(
+                vec![
+                    crate::score::AttributeWeight::new("x", 0.7),
+                    crate::score::AttributeWeight::new("y", 0.3),
+                ],
+                method,
+            )
+            .unwrap();
+            let (exact, _) = kernel_trial_scores(&table, &scoring, 0.05, 0.05, seed, false);
+            let (relaxed, _) = kernel_trial_scores(&table, &scoring, 0.05, 0.05, seed, true);
+            for (row, (&exact, &relaxed)) in exact.iter().zip(&relaxed).enumerate() {
+                let tolerance = 1e-9 * exact.abs().max(1.0);
+                proptest::prop_assert!(
+                    (exact - relaxed).abs() <= tolerance,
+                    "row {}: exact {} vs relaxed {}", row, exact, relaxed
+                );
             }
         }
-        let mut tmp = Vec::new();
-        // A dirty, wrong-length `order` must not matter: the final scatter
-        // writes every slot.
-        let mut order = vec![usize::MAX; pairs.len() / 2];
-        radix_argsort_into(&mut pairs, &mut tmp, &histograms, &mut order);
-        order
-    }
-
-    /// The reference order: the unstable pair sort the radix path replaced.
-    fn comparison_order_of(pairs: &[(u64, u32)]) -> Vec<usize> {
-        let mut sorted = pairs.to_vec();
-        sorted.sort_unstable();
-        sorted.iter().map(|&(_, row)| row as usize).collect()
     }
 
     /// The materialized reference trial: perturb into a fresh table, re-fit,
@@ -1132,11 +1233,17 @@ mod tests {
         weight_noise: f64,
         seed: u64,
     ) -> RankingResult<Vec<usize>> {
-        let kernel = TrialKernel::fit(table, scoring, data_noise, weight_noise)?;
+        let kernel = TrialKernel::fit(table, scoring, &identity(table), data_noise, weight_noise)?;
         let mut scratch = kernel.scratch();
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         kernel.rank_trial(&mut rng, &mut scratch)?;
-        Ok(scratch.order().to_vec())
+        Ok(scratch.original_positions().collect())
+    }
+
+    /// The ranking `0, 1, …` of `table`'s rows: fitted with it, a kernel's
+    /// original positions are the trial's rows.
+    fn identity(table: &Table) -> Ranking {
+        Ranking::from_order(&(0..table.num_rows()).collect::<Vec<_>>()).unwrap()
     }
 
     fn spread_table() -> Table {
@@ -1252,7 +1359,7 @@ mod tests {
         // The error policy fails identically on both paths.
         let scoring = ScoringFunction::from_pairs([("a", 1.0)]).unwrap();
         let reference = materialized_trial(&table, &scoring, 0.1, 0.0, 6).unwrap_err();
-        let kernel = TrialKernel::fit(&table, &scoring, 0.1, 0.0).unwrap();
+        let kernel = TrialKernel::fit(&table, &scoring, &identity(&table), 0.1, 0.0).unwrap();
         let mut scratch = kernel.scratch();
         let mut rng = ChaCha8Rng::seed_from_u64(6);
         let err = kernel.rank_trial(&mut rng, &mut scratch).unwrap_err();
@@ -1263,18 +1370,14 @@ mod tests {
     fn kernel_scratch_is_reusable_across_trials() {
         let table = spread_table();
         let scoring = ScoringFunction::from_pairs([("x", 0.5), ("y", 0.5)]).unwrap();
-        let kernel = TrialKernel::fit(&table, &scoring, 0.2, 0.1).unwrap();
+        let kernel = TrialKernel::fit(&table, &scoring, &identity(&table), 0.2, 0.1).unwrap();
         let mut scratch = kernel.scratch();
         for seed in 0u64..20 {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             kernel.rank_trial(&mut rng, &mut scratch).unwrap();
-            let reused = scratch.order().to_vec();
+            let reused: Vec<usize> = scratch.original_positions().collect();
             let fresh = kernel_trial(&table, &scoring, 0.2, 0.1, seed).unwrap();
             assert_eq!(reused, fresh, "seed {seed}: reused scratch diverged");
-            // The rank vector inverts the order.
-            for (position, &index) in scratch.order().iter().enumerate() {
-                assert_eq!(scratch.rank_of()[index], position + 1);
-            }
         }
     }
 
@@ -1285,12 +1388,13 @@ mod tests {
         // Noise-free: the trial-invariant fit fails up front with the exact
         // error every materialized trial reports.
         let reference = materialized_trial(&table, &scoring, 0.0, 0.0, 1).unwrap_err();
-        let kernel_err = TrialKernel::fit(&table, &scoring, 0.0, 0.0).unwrap_err();
+        let kernel_err =
+            TrialKernel::fit(&table, &scoring, &identity(&table), 0.0, 0.0).unwrap_err();
         assert_eq!(reference, kernel_err);
         // With data noise the column un-sticks (sd is 0, so the scale is 0 —
         // but min-max still sees a constant column): per-trial errors match.
         let reference = materialized_trial(&table, &scoring, 0.5, 0.0, 1).unwrap_err();
-        let kernel = TrialKernel::fit(&table, &scoring, 0.5, 0.0).unwrap();
+        let kernel = TrialKernel::fit(&table, &scoring, &identity(&table), 0.5, 0.0).unwrap();
         let mut scratch = kernel.scratch();
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let err = kernel.rank_trial(&mut rng, &mut scratch).unwrap_err();
@@ -1301,9 +1405,9 @@ mod tests {
     fn kernel_rejects_bad_recipes_like_the_reference() {
         let table = spread_table();
         let ghost = ScoringFunction::from_pairs([("ghost", 1.0)]).unwrap();
-        assert!(TrialKernel::fit(&table, &ghost, 0.1, 0.1).is_err());
+        assert!(TrialKernel::fit(&table, &ghost, &identity(&table), 0.1, 0.1).is_err());
         let non_numeric = ScoringFunction::from_pairs([("name", 1.0)]).unwrap();
-        assert!(TrialKernel::fit(&table, &non_numeric, 0.1, 0.1).is_err());
+        assert!(TrialKernel::fit(&table, &non_numeric, &identity(&table), 0.1, 0.1).is_err());
     }
 
     #[test]
@@ -1465,13 +1569,14 @@ mod tests {
         seed: u64,
         relaxed: bool,
     ) -> (Vec<f64>, Vec<usize>) {
-        let kernel = TrialKernel::fit(table, scoring, data_noise, weight_noise)
+        let kernel = TrialKernel::fit(table, scoring, &identity(table), data_noise, weight_noise)
             .unwrap()
             .with_relaxed_fp(relaxed);
         let mut scratch = kernel.scratch();
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         kernel.rank_trial(&mut rng, &mut scratch).unwrap();
-        (scratch.scores().to_vec(), scratch.order().to_vec())
+        let order = scratch.original_positions().collect();
+        (scratch.scores, order)
     }
 
     #[test]

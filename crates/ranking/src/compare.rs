@@ -29,8 +29,9 @@ fn validate_same_items(a: &Ranking, b: &Ranking) -> RankingResult<()> {
 ///
 /// Because a [`Ranking`] is a tie-free permutation, tau reduces to an
 /// inversion count (Knight 1966), which a blocked Fenwick tree counts in one
-/// pass — see [`kendall_tau_with_scratch`], which this allocates fresh
-/// buffers for.  The FA*IR re-ranker, the mitigation view and the
+/// pass; the Monte-Carlo trials count the same way in reused buffers
+/// ([`TrialScratch::kendall_tau`](crate::TrialScratch::kendall_tau)).  The
+/// FA*IR re-ranker, the mitigation view and the
 /// materialized Monte-Carlo reference call this on every candidate ranking,
 /// so the quadratic pair scan of the general-purpose [`kendall_tau`] would
 /// dominate their cost.
@@ -47,41 +48,30 @@ pub fn kendall_tau_rankings(a: &Ranking, b: &Ranking) -> RankingResult<f64> {
             message: "Kendall tau needs at least two items".to_string(),
         });
     }
+    // Walk the items in `a`'s order and read each one's position in `b`.
+    let position_in_b = b.rank_vector();
     Ok(kendall_tau_with_scratch(
-        &a.order(),
-        &b.rank_vector(),
+        a.items().iter().map(|item| position_in_b[item.index] - 1),
+        a.len(),
         &mut Vec::new(),
         &mut Vec::new(),
     ))
 }
 
-/// Kendall's tau of a perturbed ranking against the original one, expressed
-/// on raw buffers so the Monte-Carlo hot path can reuse its scratch
-/// allocations: `original_order` is the original ranking's
-/// [`Ranking::order`], `rank_of_perturbed` its [`Ranking::rank_vector`]
-/// counterpart for the perturbed ranking (1-based rank per original row
-/// index).  Byte-identical to [`kendall_tau_rankings`] on the corresponding
-/// [`Ranking`] values.
-///
-/// Walks the items in the original order and counts the pairs the perturbed
-/// ranking puts the other way round: the inversions of the induced rank
-/// sequence `rank_of_perturbed[original_order[i]]`, gathered on the fly.
-/// `masks` and `tree` are the blocked Fenwick count's scratch, cleared and
-/// refilled.  The caller guarantees the two rankings
-/// cover the same `n >= 2` items.
-#[must_use]
-pub fn kendall_tau_with_scratch(
-    original_order: &[usize],
-    rank_of_perturbed: &[usize],
+/// Kendall's tau between two rankings of the same `n >= 2` items, given as
+/// the sequence that lists, in one ranking's order, each item's 0-based
+/// position in the other: the inversions of that sequence are the pairs the
+/// two rankings order differently.  `masks` and `tree` are the blocked
+/// Fenwick count's scratch, cleared and refilled, so the Monte-Carlo trials
+/// reuse them.
+pub(crate) fn kendall_tau_with_scratch(
+    positions: impl Iterator<Item = usize>,
+    n: usize,
     masks: &mut Vec<u64>,
     tree: &mut Vec<usize>,
 ) -> f64 {
-    let n = original_order.len();
     debug_assert!(n >= 2, "caller validates the ranking size");
-    debug_assert_eq!(n, rank_of_perturbed.len());
-    // Ranks are 1-based, so the sequence's values lie in 1..=n.
-    let sequence = original_order.iter().map(|&item| rank_of_perturbed[item]);
-    let inversions = count_inversions_blocked(sequence, n + 1, masks, tree);
+    let inversions = count_inversions_blocked(positions, n, masks, tree);
     let total_pairs = (n * (n - 1) / 2) as f64;
     1.0 - 2.0 * inversions as f64 / total_pairs
 }
@@ -284,22 +274,23 @@ mod tests {
             let values = window_displaced(n, &mut rng);
             let inversions = oracle(&values);
             prop_assert_eq!(blocked(&values), inversions);
-            // The fused gather on the Monte-Carlo path: relabel the items
-            // at random, so the original order is a shuffle and the
-            // perturbed rank of item `original_order[i]` is `values[i] + 1`.
-            let original_order = shuffled(n, &mut rng);
-            let mut rank_of_perturbed = vec![0usize; n];
-            for (&item, &value) in original_order.iter().zip(&values) {
-                rank_of_perturbed[item] = value + 1;
-            }
+            // The Monte-Carlo path reads the trial's ranking as original
+            // positions; the inverse permutation has the same inversions,
+            // so it gives the same tau bit for bit.
             let (mut masks, mut tree) = (Vec::new(), Vec::new());
-            let tau =
-                kendall_tau_with_scratch(&original_order, &rank_of_perturbed, &mut masks, &mut tree);
+            let tau = kendall_tau_with_scratch(values.iter().copied(), n, &mut masks, &mut tree);
+            let mut inverse = vec![0usize; n];
+            for (position, &value) in values.iter().enumerate() {
+                inverse[value] = position;
+            }
+            let inverse_tau =
+                kendall_tau_with_scratch(inverse.into_iter(), n, &mut masks, &mut tree);
             let total_pairs = (n * (n - 1) / 2) as f64;
             prop_assert_eq!(
                 tau.to_bits(),
                 (1.0 - 2.0 * inversions as f64 / total_pairs).to_bits()
             );
+            prop_assert_eq!(inverse_tau.to_bits(), tau.to_bits());
         }
     }
 

@@ -39,9 +39,7 @@ pub mod ranking;
 pub mod score;
 
 pub use columnar::{descending_sort_key, TrialKernel, TrialScratch, TILE};
-pub use compare::{
-    footrule_distance, kendall_tau_rankings, kendall_tau_with_scratch, spearman_rho_rankings,
-};
+pub use compare::{footrule_distance, kendall_tau_rankings, spearman_rho_rankings};
 pub use error::{RankingError, RankingResult};
 pub use perturb::{perturb_table_gaussian, perturb_weights, PerturbationSpec, TablePerturber};
 pub use rank_aware::{

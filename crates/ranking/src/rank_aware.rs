@@ -181,7 +181,7 @@ pub fn rank_aware_association(
     }
     validate_finite(values)?;
     let attribute_order = sort_descending(values);
-    rank_aware_association_of_order(ranking, attribute_order.iter().map(|&(_, row)| row), depth)
+    rank_aware_association_of_order(ranking, attribute_order, depth)
 }
 
 /// [`rank_aware_association`] of an attribute whose induced order is

@@ -5,7 +5,7 @@
 //! "the top-10 and over-all" views of the same ranking; [`Ranking::top_k`]
 //! and [`Ranking::order`] provide those slices.
 
-use crate::columnar::descending_sort_key;
+use crate::columnar::{descending_sort_key, packed_argsort, RADIX_CUTOFF};
 use crate::error::{RankingError, RankingResult};
 
 /// One item of a ranking.
@@ -40,7 +40,7 @@ impl Ranking {
         let items = sort_descending(scores)
             .into_iter()
             .enumerate()
-            .map(|(pos, (_, index))| RankedItem {
+            .map(|(pos, index)| RankedItem {
                 rank: pos + 1,
                 index,
                 score: scores[index],
@@ -169,24 +169,34 @@ pub(crate) fn validate_finite(scores: &[f64]) -> RankingResult<()> {
 }
 
 /// The rows of `values` by non-increasing value, ties by ascending row —
-/// the order [`Ranking::from_scores`] ranks them in — as sorted
-/// `(descending_sort_key(value), row)` pairs.
+/// the order [`Ranking::from_scores`] ranks them in.
 ///
-/// One unstable sort of integer pairs replaces a stable comparator argsort:
-/// equal values (both zeros included) have equal keys, and the row breaks
-/// the tie.  Equal keys are also exactly the tie groups of
-/// `rf_stats::descriptive::rank_with_ties`, so the same pairs yield a
-/// column's tie-averaged ranks ([`rf_stats::tie_averaged_ranks`]) and its
-/// top prefix.  The caller checks that every value is finite.
+/// This is the order of `(descending_sort_key(value), row)` pairs, which
+/// replaces a stable comparator argsort: equal values (both zeros included)
+/// have equal keys, and the row breaks the tie.  Below `RADIX_CUTOFF` (512)
+/// values the pairs are sorted with `sort_unstable`; from there the
+/// Monte-Carlo trials' byte-pass argsort sorts them, with the row as
+/// payload.  The caller checks that every value is finite.
 #[must_use]
-pub fn sort_descending(values: &[f64]) -> Vec<(u64, usize)> {
-    let mut pairs: Vec<(u64, usize)> = values
-        .iter()
-        .enumerate()
-        .map(|(row, &v)| (descending_sort_key(v), row))
-        .collect();
-    pairs.sort_unstable();
-    pairs
+pub fn sort_descending(values: &[f64]) -> Vec<usize> {
+    if values.len() < RADIX_CUTOFF || u32::try_from(values.len()).is_err() {
+        let mut pairs: Vec<(u64, usize)> = values
+            .iter()
+            .enumerate()
+            .map(|(row, &v)| (descending_sort_key(v), row))
+            .collect();
+        pairs.sort_unstable();
+        return pairs.into_iter().map(|(_, row)| row).collect();
+    }
+    let (mut words, mut tmp) = (Vec::new(), Vec::new());
+    packed_argsort(
+        values,
+        |row| row as u32,
+        |row| row as usize,
+        &mut words,
+        &mut tmp,
+    );
+    words.into_iter().map(|word| word as u32 as usize).collect()
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! Property-based tests for the ranking engine.
 
 use proptest::prelude::*;
-use rf_ranking::{footrule_distance, kendall_tau_rankings, Ranking, ScoringFunction, TrialKernel};
-use rf_table::{Column, NormalizationMethod, Table};
+use rf_ranking::{footrule_distance, kendall_tau_rankings, Ranking, ScoringFunction};
+use rf_table::{Column, Table};
 
 fn scores_vec() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1.0e3..1.0e3f64, 1..64)
@@ -107,54 +107,5 @@ proptest! {
         let r1 = f.rank_table(&t1).unwrap();
         let r2 = f.rank_table(&t2).unwrap();
         prop_assert_eq!(r1.order(), r2.order());
-    }
-
-    #[test]
-    fn relaxed_fp_trial_scores_within_epsilon_of_exact(
-        values in prop::collection::vec(-1.0e3..1.0e3f64, 8..512),
-        seed in 0u64..1_000_000,
-        method_pick in 0usize..3,
-    ) {
-        // The relaxed-fp kernel draws the same noise from the same RNG
-        // stream as the exact kernel and only reassociates reductions and
-        // division strength; per-row trial scores must stay within 1e-9
-        // relative error for any data, seed, and normalization.
-        prop_assume!(values.iter().any(|v| (v - values[0]).abs() > 1e-6));
-        let method = [
-            NormalizationMethod::None,
-            NormalizationMethod::MinMax,
-            NormalizationMethod::ZScore,
-        ][method_pick];
-        let linear: Vec<f64> = (0..values.len()).map(|i| i as f64 * 0.5).collect();
-        let table = Table::from_columns(vec![
-            ("x", Column::from_f64(values)),
-            ("y", Column::from_f64(linear)),
-        ])
-        .unwrap();
-        let scoring = ScoringFunction::with_normalization(
-            vec![
-                rf_ranking::AttributeWeight::new("x", 0.7),
-                rf_ranking::AttributeWeight::new("y", 0.3),
-            ],
-            method,
-        )
-        .unwrap();
-        let mut scores = Vec::new();
-        for relaxed in [false, true] {
-            let kernel = TrialKernel::fit(&table, &scoring, 0.05, 0.05)
-                .unwrap()
-                .with_relaxed_fp(relaxed);
-            let mut scratch = kernel.scratch();
-            let mut rng = <rand_chacha::ChaCha8Rng as rand::SeedableRng>::seed_from_u64(seed);
-            kernel.rank_trial(&mut rng, &mut scratch).unwrap();
-            scores.push(scratch.scores().to_vec());
-        }
-        for (row, (&exact, &relaxed)) in scores[0].iter().zip(&scores[1]).enumerate() {
-            let tolerance = 1e-9 * exact.abs().max(1.0);
-            prop_assert!(
-                (exact - relaxed).abs() <= tolerance,
-                "row {}: exact {} vs relaxed {}", row, exact, relaxed
-            );
-        }
     }
 }

@@ -428,8 +428,8 @@ impl MonteCarloStability {
     }
 
     /// Validates the inputs and fits everything the trials share: the
-    /// columnar [`TrialKernel`] (column buffers and noise scales computed
-    /// once) plus the original ranking's order, top-k set, and clamped `k`.
+    /// columnar [`TrialKernel`] (column buffers, noise scales and each row's
+    /// original position computed once) plus the clamped `k`.
     fn plan(
         &self,
         table: &Table,
@@ -437,24 +437,12 @@ impl MonteCarloStability {
         ranking: &Ranking,
     ) -> StabilityResult<TrialPlan> {
         self.validate(ranking)?;
-        let k = self.k.clamp(1, ranking.len());
-        let kernel = TrialKernel::fit(table, scoring, self.data_noise, self.weight_noise)?
+        let kernel = TrialKernel::fit(table, scoring, ranking, self.data_noise, self.weight_noise)?
             .with_relaxed_fp(self.relaxed_fp);
-        let original_order = ranking.order();
-        let mut in_original_top_k = vec![false; original_order.len()];
-        let mut original_top_k_len = 0;
-        for row in ranking.top_k_indices(k) {
-            original_top_k_len += usize::from(!in_original_top_k[row]);
-            in_original_top_k[row] = true;
-        }
-        let original_top_item = original_order[0];
         Ok(TrialPlan {
+            covers_table: ranking.len() == kernel.rows(),
             kernel,
-            original_order,
-            in_original_top_k,
-            original_top_k_len,
-            original_top_item,
-            k,
+            k: self.k.clamp(1, ranking.len()),
             seed: self.seed,
         })
     }
@@ -512,16 +500,12 @@ pub struct TrialOutcome {
 /// afterwards — safe to reference from concurrently running trial tasks.
 #[derive(Debug)]
 struct TrialPlan {
-    /// The columnar trial kernel: column buffers, noise scales, weights.
+    /// The columnar trial kernel: column buffers, noise scales, weights,
+    /// and each row's position in the original ranking.
     kernel: TrialKernel,
-    /// The original ranking's row indices, best first.
-    original_order: Vec<usize>,
-    /// Per row: whether it is in the original top-k, for overlap counting
-    /// by index instead of by hashing.
-    in_original_top_k: Vec<bool>,
-    /// Size of the original top-k set.
-    original_top_k_len: usize,
-    original_top_item: usize,
+    /// Whether the original ranking has one item per table row.
+    covers_table: bool,
+    /// The original top-k size: its items hold the positions below `k`.
     k: usize,
     seed: u64,
 }
@@ -533,25 +517,27 @@ impl TrialPlan {
     fn run_trial(&self, trial: usize, scratch: &mut TrialScratch) -> StabilityResult<TrialOutcome> {
         let mut rng = trial_rng(self.seed, trial);
         self.kernel.rank_trial(&mut rng, scratch)?;
-        let rows = self.kernel.rows();
         // The reference degrades a ranking-size mismatch to tau = 0.0
         // (`kendall_tau_rankings(..).unwrap_or(0.0)`); sizes match on every
         // sane call, but the quirk is part of the byte-identity contract.
-        let kendall_tau = if self.original_order.len() == rows {
-            scratch.kendall_tau_against(&self.original_order)
+        let kendall_tau = if self.covers_table {
+            scratch.kendall_tau()
         } else {
             0.0
         };
-        let perturbed_top_len = self.k.min(rows);
-        let intersection = scratch.order()[..perturbed_top_len]
-            .iter()
-            .filter(|&&row| self.in_original_top_k.get(row).copied().unwrap_or(false))
+        // The trial's ranking lists original positions: a row among its
+        // first `k` is in the original top k when its position is below `k`.
+        let perturbed_top_len = self.k.min(self.kernel.rows());
+        let intersection = scratch
+            .original_positions()
+            .take(perturbed_top_len)
+            .filter(|&position| position < self.k)
             .count();
-        let union = self.original_top_k_len + perturbed_top_len - intersection;
+        let union = self.k + perturbed_top_len - intersection;
         Ok(TrialOutcome {
             kendall_tau,
             top_k_overlap: intersection as f64 / union as f64,
-            top_item_changed: scratch.order()[0] != self.original_top_item,
+            top_item_changed: scratch.original_positions().next() != Some(0),
         })
     }
 }
@@ -737,6 +723,33 @@ mod tests {
         assert_eq!(jaccard(&[1, 2], &[3, 4]), 0.0);
         assert!((jaccard(&[1, 2, 3], &[2, 3, 4]) - 0.5).abs() < 1e-12);
         assert_eq!(jaccard(&[], &[]), 1.0);
+    }
+
+    #[test]
+    fn rankings_of_another_size_match_the_materialized_reference() {
+        // A ranking of a shorter table leaves the last rows without an
+        // original position; a longer one covers every row.  Tau degrades
+        // to 0 on both paths, and the overlap and top item still agree.
+        let t = spread_table(30);
+        let scoring = ScoringFunction::from_pairs([("x", 1.0)]).unwrap();
+        for items in [25usize, 36] {
+            let order: Vec<usize> = (0..items).rev().collect();
+            let ranking = Ranking::from_order(&order).unwrap();
+            for k in [1usize, 10, 33] {
+                let estimator = MonteCarloStability::new()
+                    .with_trials(9)
+                    .unwrap()
+                    .with_noise(0.3, 0.2)
+                    .unwrap()
+                    .with_k(k);
+                let columnar = estimator.evaluate(&t, &scoring, &ranking).unwrap();
+                let materialized = estimator
+                    .evaluate_materialized(&t, &scoring, &ranking)
+                    .unwrap();
+                assert_eq!(columnar, materialized, "{items} items, k = {k}");
+                assert_eq!(columnar.expected_kendall_tau, 0.0);
+            }
+        }
     }
 
     #[test]

@@ -83,7 +83,7 @@ fn pearson_of_ranks(rank_x: &[f64], rank_y: &[f64]) -> StatsResult<f64> {
 /// A direct reference implementation: it runs in O(n²) and handles ties in
 /// both inputs exactly.  The label's comparisons of two rankings of the same
 /// items, including the Monte-Carlo stability estimator's, do not use it:
-/// rankings have no ties, so `rf_ranking::kendall_tau_with_scratch` counts
+/// rankings have no ties, so `rf_ranking::kendall_tau_rankings` counts
 /// their discordant pairs as inversions with a blocked Fenwick tree instead,
 /// and its tests check that count against this function.
 ///
