@@ -82,7 +82,7 @@ pub fn run(args: &ParsedArgs) -> CliResult<String> {
             let max_bytes = args.get_u64("cache-disk-bytes", DEFAULT_CACHE_DISK_BYTES)?;
             let store = rf_store::DiskStore::open(dir, max_bytes)
                 .map_err(|err| CliError::execution(format!("cache dir `{dir}`: {err}")))?;
-            let service = rf_core::LabelService::with_cache_policy(pipeline, 8, 1 << 22, None)
+            let service = rf_core::LabelService::with_pipeline(pipeline, 8, 1 << 22)
                 .with_disk_tier(Arc::new(store));
             let cached = service
                 .label(&table, &config)

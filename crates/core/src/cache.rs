@@ -19,11 +19,9 @@
 //! [`NutritionalLabel`] is not charged: it carries the top-k and the
 //! widgets, O(k + widgets) whatever the table's row count, and its JSON —
 //! which is charged — renders the same content.  Whichever bound
-//! is exceeded first evicts least-recently-used entries.  A third, optional
-//! bound is **time**: [`LabelCache::with_ttl`] expires entries a fixed
-//! duration after insertion (checked on hit, counted in
-//! [`CacheStats::expired`]) so a steadily-touched label cannot pin its table
-//! in memory forever by dodging LRU eviction.
+//! is exceeded first evicts least-recently-used entries.  There is no time
+//! bound: keys are content-addressed, so an entry can never go stale, and
+//! the server drops every entry whenever a dataset is uploaded.
 //!
 //! The fingerprints are non-cryptographic (FNV-1a), so a hit additionally
 //! verifies that the stored inputs *equal* the request's table and
@@ -37,7 +35,6 @@ use crate::label::NutritionalLabel;
 use rf_table::Table;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Content-addressed identity of one label: the table's fingerprint paired
 /// with the configuration's fingerprint.
@@ -92,12 +89,6 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries evicted to honour the bounds.
     pub evictions: u64,
-    /// Entries dropped on lookup because they outlived the TTL.
-    #[serde(default)]
-    pub expired: u64,
-    /// The per-entry TTL in milliseconds, if one is configured.
-    #[serde(default)]
-    pub ttl_millis: Option<u64>,
     /// Entries currently resident.
     pub entries: usize,
     /// Bytes currently resident (rendered JSON plus retained table data).
@@ -118,7 +109,6 @@ struct CacheEntry {
     table: Arc<Table>,
     bytes: usize,
     last_used: u64,
-    inserted_at: Instant,
 }
 
 /// A bounded, least-recently-used map from [`CacheKey`] to [`CachedLabel`].
@@ -132,49 +122,27 @@ pub struct LabelCache {
     entries: HashMap<CacheKey, CacheEntry>,
     capacity: usize,
     max_bytes: usize,
-    /// Optional per-entry time-to-live, checked on every hit: an entry older
-    /// than this serves nothing and is dropped.  `None` disables expiry.
-    ttl: Option<Duration>,
     bytes: usize,
     tick: u64,
     hits: u64,
     misses: u64,
     evictions: u64,
-    expired: u64,
 }
 
 impl LabelCache {
     /// A cache bounded to `capacity` entries and `max_bytes` resident bytes
-    /// (both clamped to at least one entry / one byte), with no TTL.
+    /// (both clamped to at least one entry / one byte).
     #[must_use]
     pub fn new(capacity: usize, max_bytes: usize) -> Self {
-        Self::with_ttl(capacity, max_bytes, None)
-    }
-
-    /// A bounded cache whose entries additionally expire `ttl` after
-    /// insertion: an expired entry is dropped when its key is looked up
-    /// (counting a miss plus an expiry), and every insert sweeps *all*
-    /// expired entries out, so entries nobody asks about again are reclaimed
-    /// by the next write instead of lingering at full LRU weight.
-    ///
-    /// The cache stays correct without a TTL — keys are content-addressed,
-    /// so stale *content* can never be served — but deployments tune one to
-    /// bound how long a rarely-touched label pins its table in memory
-    /// (recency alone never ages an entry that keeps getting hit exactly
-    /// often enough to dodge LRU eviction).
-    #[must_use]
-    pub fn with_ttl(capacity: usize, max_bytes: usize, ttl: Option<Duration>) -> Self {
         LabelCache {
             entries: HashMap::new(),
             capacity: capacity.max(1),
             max_bytes: max_bytes.max(1),
-            ttl,
             bytes: 0,
             tick: 0,
             hits: 0,
             misses: 0,
             evictions: 0,
-            expired: 0,
         }
     }
 
@@ -183,8 +151,7 @@ impl LabelCache {
     /// A key match alone is not a hit: the stored table and configuration
     /// must equal the request's (`Arc` pointer equality short-circuits the
     /// table comparison for shared catalog datasets).  A mismatched match is
-    /// a fingerprint collision and counts as a miss.  Under a TTL, an entry
-    /// past its deadline is removed and counted (`expired`) before the miss.
+    /// a fingerprint collision and counts as a miss.
     pub fn get(
         &mut self,
         key: &CacheKey,
@@ -192,14 +159,6 @@ impl LabelCache {
         config: &LabelConfig,
     ) -> Option<CachedLabel> {
         self.tick += 1;
-        if let (Some(ttl), Some(entry)) = (self.ttl, self.entries.get(key)) {
-            if entry.inserted_at.elapsed() > ttl {
-                if let Some(dead) = self.entries.remove(key) {
-                    self.bytes -= dead.bytes;
-                    self.expired += 1;
-                }
-            }
-        }
         match self.entries.get_mut(key) {
             Some(entry)
                 if entry.value.label.config == *config
@@ -220,32 +179,8 @@ impl LabelCache {
     /// Inserts a label, evicting least-recently-used entries until the
     /// bounds hold.  An entry costs its rendered JSON plus the table it
     /// retains; one whose cost alone exceeds the byte bound is not cached
-    /// (it would immediately evict everything else for nothing).  Under a
-    /// TTL, every insert first sweeps expired entries (whatever their key),
-    /// so dead entries make room before live ones are evicted.
+    /// (it would immediately evict everything else for nothing).
     pub fn insert(&mut self, key: CacheKey, table: Arc<Table>, value: CachedLabel) {
-        self.insert_aged(key, table, value, Duration::ZERO);
-    }
-
-    /// [`LabelCache::insert`] for an entry that is already `age` old — the
-    /// promotion path from the disk tier, whose entries carry their original
-    /// fill timestamp.  Backdating `inserted_at` keeps the TTL clock honest:
-    /// an entry that expired out of memory and was re-promoted from disk
-    /// expires at its *original* deadline instead of winning a fresh TTL on
-    /// every promotion.  If the age cannot be represented (it predates what
-    /// `Instant` can go back to), the entry is served without being cached —
-    /// never cached as younger than it is.
-    pub fn insert_aged(
-        &mut self,
-        key: CacheKey,
-        table: Arc<Table>,
-        value: CachedLabel,
-        age: Duration,
-    ) {
-        let Some(inserted_at) = Instant::now().checked_sub(age) else {
-            return;
-        };
-        self.sweep_expired();
         let bytes = value.json.len() + table.approx_heap_bytes();
         if bytes > self.max_bytes {
             return;
@@ -258,7 +193,6 @@ impl LabelCache {
                 table,
                 bytes,
                 last_used: self.tick,
-                inserted_at,
             },
         ) {
             self.bytes -= previous.bytes;
@@ -276,26 +210,6 @@ impl LabelCache {
         }
     }
 
-    /// Removes every entry past the TTL, whatever its key.  No-op without a
-    /// TTL.
-    fn sweep_expired(&mut self) {
-        let Some(ttl) = self.ttl else {
-            return;
-        };
-        let dead: Vec<CacheKey> = self
-            .entries
-            .iter()
-            .filter(|(_, entry)| entry.inserted_at.elapsed() > ttl)
-            .map(|(key, _)| *key)
-            .collect();
-        for key in dead {
-            if let Some(entry) = self.entries.remove(&key) {
-                self.bytes -= entry.bytes;
-                self.expired += 1;
-            }
-        }
-    }
-
     /// Drops every entry (counters keep their history).
     pub fn clear(&mut self) {
         self.entries.clear();
@@ -309,8 +223,6 @@ impl LabelCache {
             hits: self.hits,
             misses: self.misses,
             evictions: self.evictions,
-            expired: self.expired,
-            ttl_millis: self.ttl.map(|ttl| ttl.as_millis() as u64),
             entries: self.entries.len(),
             bytes: self.bytes,
             capacity: self.capacity,
@@ -464,82 +376,13 @@ mod tests {
     }
 
     #[test]
-    fn ttl_expires_entries_on_hit_and_counts_them() {
-        let f = label_for(3);
-        let mut cache = LabelCache::with_ttl(4, 1 << 20, Some(Duration::from_millis(40)));
-        cache.insert(f.key, Arc::clone(&f.table), f.value.clone());
-        // Young enough: a normal hit.
-        assert!(cache.get(&f.key, &f.table, &f.config).is_some());
-        std::thread::sleep(Duration::from_millis(60));
-        // Past the TTL: dropped on lookup, counted as expired + miss.
-        assert!(cache.get(&f.key, &f.table, &f.config).is_none());
-        let stats = cache.stats();
-        assert_eq!(stats.expired, 1);
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.entries, 0);
-        assert_eq!(stats.bytes, 0);
-        assert_eq!(stats.ttl_millis, Some(40));
-        // Re-inserting restarts the clock.
-        cache.insert(f.key, Arc::clone(&f.table), f.value.clone());
-        assert!(cache.get(&f.key, &f.table, &f.config).is_some());
-    }
-
-    #[test]
-    fn aged_inserts_keep_the_original_ttl_clock() {
-        let f = label_for(3);
-        let mut cache = LabelCache::with_ttl(4, 1 << 20, Some(Duration::from_millis(50)));
-        // Already 40ms old at insert (a disk promotion): it expires at the
-        // original deadline, ~10ms from now — not 50ms from now.
-        cache.insert_aged(
-            f.key,
-            Arc::clone(&f.table),
-            f.value.clone(),
-            Duration::from_millis(40),
-        );
-        assert!(cache.get(&f.key, &f.table, &f.config).is_some());
-        std::thread::sleep(Duration::from_millis(30));
-        assert!(
-            cache.get(&f.key, &f.table, &f.config).is_none(),
-            "promotion must not extend the TTL"
-        );
-        assert_eq!(cache.stats().expired, 1);
-        // An age already past the TTL never serves from memory at all.
-        cache.insert_aged(
-            f.key,
-            Arc::clone(&f.table),
-            f.value.clone(),
-            Duration::from_millis(60),
-        );
-        assert!(cache.get(&f.key, &f.table, &f.config).is_none());
-    }
-
-    #[test]
-    fn inserts_sweep_expired_entries_of_other_keys() {
-        // An expired entry nobody looks up again must not pin its table in
-        // memory: the next insert (any key) sweeps it out.
-        let f3 = label_for(3);
-        let f4 = label_for(4);
-        let mut cache = LabelCache::with_ttl(8, 1 << 20, Some(Duration::from_millis(30)));
-        cache.insert(f3.key, Arc::clone(&f3.table), f3.value.clone());
-        std::thread::sleep(Duration::from_millis(50));
-        cache.insert(f4.key, Arc::clone(&f4.table), f4.value.clone());
-        let stats = cache.stats();
-        assert_eq!(stats.expired, 1, "the stale k=3 entry was swept");
-        assert_eq!(stats.entries, 1);
-        assert_eq!(stats.bytes, f4.cost());
-        assert!(cache.get(&f4.key, &f4.table, &f4.config).is_some());
-    }
-
-    #[test]
     fn no_ttl_means_entries_never_expire() {
         let f = label_for(3);
         let mut cache = LabelCache::new(4, 1 << 20);
         cache.insert(f.key, Arc::clone(&f.table), f.value.clone());
-        std::thread::sleep(Duration::from_millis(30));
+        std::thread::sleep(std::time::Duration::from_millis(30));
         assert!(cache.get(&f.key, &f.table, &f.config).is_some());
-        assert_eq!(cache.stats().expired, 0);
-        assert_eq!(cache.stats().ttl_millis, None);
+        assert_eq!(cache.stats().entries, 1);
     }
 
     #[test]

@@ -21,10 +21,9 @@
 //! `Arc` (the server does exactly that), with the cache behind a mutex held
 //! only for lookups and inserts — never while generating.
 //!
-//! One-shot processes gain nothing from an in-process cache, so the CLI's
-//! `--ks` sweeps call [`AnalysisPipeline::generate_sweep`] directly;
-//! [`LabelService::label_sweep`] is the long-lived-process flavour of the
-//! same batching.
+//! [`LabelService::label`] is the service's one fill path.  One-shot
+//! processes gain nothing from an in-process cache, so the CLI's `--ks`
+//! sweeps call [`AnalysisPipeline::generate_sweep`] directly.
 
 use crate::cache::{CacheKey, CacheStats, CachedLabel, LabelCache};
 use crate::config::LabelConfig;
@@ -265,10 +264,6 @@ pub struct LabelService {
     /// probed on the leader's cold path, written behind on fills, purged
     /// together with the memory tier.  `None` runs memory-only.
     disk: Option<Arc<rf_store::DiskStore>>,
-    /// The cache TTL, mirrored out of the [`LabelCache`] policy so disk
-    /// entries (whose fill timestamps survive restarts) expire on the same
-    /// clock as memory entries.
-    ttl: Option<std::time::Duration>,
 }
 
 impl LabelService {
@@ -277,36 +272,20 @@ impl LabelService {
     /// entry's rendered JSON plus the table it retains).
     #[must_use]
     pub fn with_pipeline(pipeline: AnalysisPipeline, capacity: usize, max_bytes: usize) -> Self {
-        Self::with_cache_policy(pipeline, capacity, max_bytes, None)
-    }
-
-    /// [`LabelService::with_pipeline`] plus an optional per-entry TTL: warm
-    /// entries older than `ttl` are dropped on lookup (and counted in
-    /// [`CacheStats::expired`](crate::CacheStats)), the knob deployments
-    /// tune so a steadily-hit label cannot pin its table in memory forever.
-    #[must_use]
-    pub fn with_cache_policy(
-        pipeline: AnalysisPipeline,
-        capacity: usize,
-        max_bytes: usize,
-        ttl: Option<std::time::Duration>,
-    ) -> Self {
         LabelService {
             pipeline,
-            cache: Mutex::new(LabelCache::with_ttl(capacity, max_bytes, ttl)),
+            cache: Mutex::new(LabelCache::new(capacity, max_bytes)),
             fingerprints: Mutex::new(FingerprintMemo::default()),
             inflight: Mutex::new(HashMap::new()),
             coalesced: AtomicU64::new(0),
             disk: None,
-            ttl,
         }
     }
 
     /// Attaches the crash-safe on-disk tier: cold misses probe `store`
     /// before generating, fills are written behind, and cache invalidation
-    /// purges it together with the memory tier.  Disk hits are promoted into
-    /// memory *at their original age* (the fill timestamp is persisted), so
-    /// the TTL policy holds across restarts.
+    /// purges it together with the memory tier.  A disk hit is promoted into
+    /// the memory tier like any fill, under the memory tier's LRU bounds.
     #[must_use]
     pub fn with_disk_tier(mut self, store: Arc<rf_store::DiskStore>) -> Self {
         self.disk = Some(store);
@@ -484,18 +463,17 @@ impl LabelService {
     }
 
     /// Probes the disk tier on the leader's cold path (timed as the
-    /// `cache_disk` stage).  A valid, unexpired entry is deserialized back
-    /// into a label, verified against the request's configuration (the
+    /// `cache_disk` stage).  A valid entry is deserialized back into a
+    /// label, verified against the request's configuration (the
     /// fingerprints are non-cryptographic, exactly like a memory hit), and
-    /// promoted into the memory tier **at its original age** so the TTL
-    /// clock is never reset by a promotion.  The stored bytes are served
-    /// verbatim — a disk hit is byte-identical to the warm hit it replaces.
+    /// promoted into the memory tier.  The stored bytes are served verbatim
+    /// — a disk hit is byte-identical to the warm hit it replaces.
     ///
-    /// Every failure degrades to `None` (regenerate): absent, expired,
-    /// unreadable, corrupt, undeserializable, or colliding.  The stored
-    /// table is not retained on disk, so — unlike a memory hit — a disk hit
-    /// cannot compare the request's table bytes; the table fingerprint in
-    /// the file name plus the embedded configuration check is the guarantee.
+    /// Every failure degrades to `None` (regenerate): absent, unreadable,
+    /// corrupt, undeserializable, or colliding.  The stored table is not
+    /// retained on disk, so — unlike a memory hit — a disk hit cannot
+    /// compare the request's table bytes; the table fingerprint in the file
+    /// name plus the embedded configuration check is the guarantee.
     fn disk_lookup(
         &self,
         key: CacheKey,
@@ -517,11 +495,7 @@ impl LabelService {
         table: &Arc<Table>,
         config: &Arc<LabelConfig>,
     ) -> Option<CachedLabel> {
-        let now = rf_store::unix_millis_now();
-        let ttl_millis = self
-            .ttl
-            .map(|ttl| u64::try_from(ttl.as_millis()).unwrap_or(u64::MAX));
-        let entry = disk.lookup(Self::store_key(key), ttl_millis, now)?;
+        let entry = disk.lookup(Self::store_key(key))?;
         // The framing checksum held, so this is what the writer stored —
         // but the writer could have been a colliding key's leader, and the
         // body must round-trip back into a label for the HTML/text renders.
@@ -542,13 +516,10 @@ impl LabelService {
             label: Arc::new(label),
             json: Arc::new(json),
         };
-        let age = std::time::Duration::from_millis(now.saturating_sub(entry.fill_unix_millis));
-        self.cache.lock().expect("label cache lock").insert_aged(
-            key,
-            Arc::clone(table),
-            cached.clone(),
-            age,
-        );
+        self.cache
+            .lock()
+            .expect("label cache lock")
+            .insert(key, Arc::clone(table), cached.clone());
         disk.note_promotion();
         Some(cached)
     }
@@ -565,83 +536,7 @@ impl LabelService {
             .is_some_and(|mc| mc.truncated)
     }
 
-    /// One label per audited prefix size in `ks`, in order.
-    ///
-    /// Warm sizes come from the cache; all cold sizes are generated by a
-    /// single [`AnalysisPipeline::generate_sweep`] — the ranking and the rest
-    /// of the analysis context are prepared at most once per call no matter
-    /// how many sizes miss.
-    ///
-    /// # Errors
-    /// Validation errors for the first invalid `k`, or pipeline errors.
-    pub fn label_sweep(
-        &self,
-        table: &Arc<Table>,
-        config: &Arc<LabelConfig>,
-        ks: &[usize],
-    ) -> LabelResult<Vec<CachedLabel>> {
-        let configs: Vec<Arc<LabelConfig>> = ks
-            .iter()
-            .map(|&k| Arc::new(LabelConfig::clone(config).with_top_k(k)))
-            .collect();
-        // Fingerprint the table once (memoized) and every per-k config
-        // outside the lock.
-        let table_fingerprint = self.table_fingerprint(table);
-        let keys: Vec<CacheKey> = configs
-            .iter()
-            .map(|config_k| CacheKey {
-                table: table_fingerprint,
-                config: config_k.fingerprint(),
-            })
-            .collect();
-        let mut slots: Vec<Option<CachedLabel>> = {
-            let mut cache = self.cache.lock().expect("label cache lock");
-            keys.iter()
-                .zip(&configs)
-                .map(|(key, config_k)| cache.get(key, table, config_k))
-                .collect()
-        };
-        let cold_ks: Vec<usize> = ks
-            .iter()
-            .zip(&slots)
-            .filter(|(_, slot)| slot.is_none())
-            .map(|(&k, _)| k)
-            .collect();
-        if !cold_ks.is_empty() {
-            let generated =
-                self.pipeline
-                    .generate_sweep(Arc::clone(table), Arc::clone(config), &cold_ks)?;
-            // Render every cold label's JSON before taking the lock: on the
-            // Arc-shared server the lock gates every worker's lookup, and
-            // serialization needs no cache state.
-            let mut fresh = Vec::with_capacity(generated.len());
-            for label in generated {
-                fresh.push(CachedLabel {
-                    json: Arc::new(label.to_json()?),
-                    label: Arc::new(label),
-                });
-            }
-            let mut cache = self.cache.lock().expect("label cache lock");
-            let mut fresh = fresh.into_iter();
-            for (key, slot) in keys.iter().zip(&mut slots) {
-                if slot.is_none() {
-                    let cached = fresh.next().expect("one label per cold k");
-                    // Deadline-truncated labels are served but never cached
-                    // (see `generate_uncoalesced`).
-                    if !Self::is_truncated(&cached) {
-                        cache.insert(*key, Arc::clone(table), cached.clone());
-                    }
-                    *slot = Some(cached);
-                }
-            }
-        }
-        Ok(slots
-            .into_iter()
-            .map(|slot| slot.expect("every k resolved"))
-            .collect())
-    }
-
-    /// Counters: cache hits/misses/evictions/expiries/occupancy, the
+    /// Counters: cache hits/misses/evictions/occupancy, the
     /// service's preparation count, and the scheduler's observability
     /// counters.  Served by the HTTP `/stats` endpoint.
     #[must_use]
@@ -750,30 +645,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_serves_warm_ks_from_cache_and_generates_the_rest() {
-        let (table, config) = scenario();
-        let service = pooled_service();
-        // Warm one of the three sizes.
-        let five = Arc::new(LabelConfig::clone(&config).with_top_k(5));
-        service.label(&table, &five).unwrap();
-        let labels = service.label_sweep(&table, &config, &[5, 10, 20]).unwrap();
-        assert_eq!(labels.len(), 3);
-        assert_eq!(labels[0].label.config.top_k, 5);
-        assert_eq!(labels[2].label.top_k_rows.len(), 20);
-        // k=5 was served from the cache, 10 and 20 were generated.
-        let stats = service.stats();
-        assert_eq!(stats.cache.hits, 1);
-        assert_eq!(stats.cache.misses, 3); // initial cold 5, then cold 10 + 20
-        assert_eq!(stats.cache.entries, 3);
-        // The whole sweep is now warm and byte-stable.
-        let again = service.label_sweep(&table, &config, &[5, 10, 20]).unwrap();
-        assert_eq!(service.stats().cache.hits, 4);
-        for (a, b) in labels.iter().zip(&again) {
-            assert_eq!(a.json, b.json);
-        }
-    }
-
-    #[test]
     fn concurrent_cold_misses_coalesce_onto_one_generation() {
         let (table, config) = scenario();
         let service = Arc::new(pooled_service());
@@ -847,28 +718,6 @@ mod tests {
     }
 
     #[test]
-    fn ttl_policy_expires_warm_labels_and_regenerates() {
-        let (table, config) = scenario();
-        let service = LabelService::with_cache_policy(
-            AnalysisPipeline::sequential(),
-            8,
-            1 << 20,
-            Some(std::time::Duration::from_millis(30)),
-        );
-        let first = service.label(&table, &config).unwrap();
-        assert!(service.label(&table, &config).is_ok(), "young entry hits");
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        let regenerated = service.label(&table, &config).unwrap();
-        // Byte-identical content (generation is pure), but regenerated.
-        assert_eq!(first.json, regenerated.json);
-        let stats = service.stats();
-        assert_eq!(stats.cache.expired, 1);
-        assert_eq!(stats.cache.hits, 1);
-        assert_eq!(stats.cache.misses, 2);
-        assert_eq!(stats.cache.ttl_millis, Some(30));
-    }
-
-    #[test]
     fn deadline_truncated_labels_are_served_but_never_cached() {
         // How far a truncated run gets depends on transient load, not on the
         // cache key — caching one busy moment's degraded label would serve
@@ -939,8 +788,8 @@ mod tests {
         }
     }
 
-    fn disk_service(dir: &std::path::Path, ttl: Option<std::time::Duration>) -> LabelService {
-        LabelService::with_cache_policy(AnalysisPipeline::sequential(), 8, 1 << 20, ttl)
+    fn disk_service(dir: &std::path::Path) -> LabelService {
+        LabelService::with_pipeline(AnalysisPipeline::sequential(), 8, 1 << 20)
             .with_disk_tier(Arc::new(rf_store::DiskStore::open(dir, 1 << 20).unwrap()))
     }
 
@@ -949,14 +798,14 @@ mod tests {
         let scratch = Scratch::new("restart");
         let (table, config) = scenario();
         let cold = {
-            let service = disk_service(&scratch.0, None);
+            let service = disk_service(&scratch.0);
             let cold = service.label(&table, &config).unwrap();
             service.disk_store().unwrap().flush();
             cold
         };
         // "Restart": a brand-new service (empty memory tier) over the same
         // directory.  Its first request is a disk hit — no pipeline work.
-        let service = disk_service(&scratch.0, None);
+        let service = disk_service(&scratch.0);
         let warm = service.label(&table, &config).unwrap();
         assert_eq!(
             service.stats().preparations,
@@ -977,31 +826,10 @@ mod tests {
     }
 
     #[test]
-    fn ttl_expired_disk_entries_are_not_re_promoted() {
-        let scratch = Scratch::new("ttl");
-        let (table, config) = scenario();
-        let ttl = Some(std::time::Duration::from_millis(60));
-        let service = disk_service(&scratch.0, ttl);
-        service.label(&table, &config).unwrap();
-        service.disk_store().unwrap().flush();
-        assert_eq!(service.stats().disk.unwrap().entries, 1);
-        std::thread::sleep(std::time::Duration::from_millis(90));
-        // Memory and disk both expired: the request regenerates — the disk
-        // entry's persisted fill timestamp must not resurrect it.
-        service.label(&table, &config).unwrap();
-        let stats = service.stats();
-        let disk = stats.disk.unwrap();
-        assert_eq!(disk.disk_hits, 0, "an expired disk entry never serves");
-        assert_eq!(disk.promotions, 0);
-        assert_eq!(stats.cache.expired, 1);
-        assert_eq!(stats.cache.misses, 2);
-    }
-
-    #[test]
     fn clear_cache_purges_the_disk_tier_too() {
         let scratch = Scratch::new("clear");
         let (table, config) = scenario();
-        let service = disk_service(&scratch.0, None);
+        let service = disk_service(&scratch.0);
         service.label(&table, &config).unwrap();
         service.disk_store().unwrap().flush();
         assert_eq!(service.stats().disk.unwrap().entries, 1);

@@ -8,6 +8,7 @@
 //! bodies that stream straight out of the label cache.
 
 use rf_net::{OutboundResponse, ParseEvent, ParsedRequest, ResponseBody};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::sync::Arc;
@@ -148,20 +149,29 @@ fn split_target(target: &str) -> (String, HashMap<String, String>) {
     }
 }
 
-/// Parses `a=1&b=two` into a map, percent-decoding values.
+/// Parses `a=1&b=two` into a map, percent-decoding names and values.  A
+/// name given more than once keeps its last value.
 fn parse_query(query: &str) -> HashMap<String, String> {
     query
         .split('&')
         .filter(|piece| !piece.is_empty())
         .filter_map(|piece| {
             let (name, value) = piece.split_once('=')?;
-            Some((percent_decode(name), percent_decode(value)))
+            Some((
+                percent_decode(name).into_owned(),
+                percent_decode(value).into_owned(),
+            ))
         })
         .collect()
 }
 
-/// Minimal percent-decoding (`%XX` and `+` for space).
-fn percent_decode(input: &str) -> String {
+/// Minimal percent-decoding (`%XX` and `+` for space).  Input without `%`
+/// or `+` is borrowed, so the reactor-side admission check, which decodes
+/// query names and values the same way, allocates nothing on plain targets.
+pub(crate) fn percent_decode(input: &str) -> Cow<'_, str> {
+    if !input.contains(['%', '+']) {
+        return Cow::Borrowed(input);
+    }
     let bytes = input.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
@@ -190,7 +200,7 @@ fn percent_decode(input: &str) -> String {
             }
         }
     }
-    String::from_utf8_lossy(&out).into_owned()
+    Cow::Owned(String::from_utf8_lossy(&out).into_owned())
 }
 
 /// A response body: owned text, or a document `Arc`-shared with the label

@@ -4,7 +4,7 @@
 //! ```sh
 //! cargo run -p rf-server --bin ranking-facts-server -- 127.0.0.1:8080 \
 //!     --workers 4 --reactors 4 --max-conns 4096 --max-pending 1024 \
-//!     --cache-ttl-secs 300 --cache-entries 128 --cache-bytes 67108864
+//!     --cache-entries 128 --cache-bytes 67108864 --cache-dir /var/cache/rf
 //! ```
 
 use rf_server::{AppState, DatasetCatalog, Server, ServerOptions};
@@ -17,9 +17,9 @@ fn main() {
             eprintln!(
                 "usage: ranking-facts-server [ADDRESS] [--workers N] [--reactors N] \
                  [--max-conns N] [--idle-timeout-ms N] [--request-deadline-ms N] \
-                 [--max-pending N] [--cache-ttl-secs N] [--cache-entries N] \
-                 [--cache-bytes N] [--slow-threshold-ms N] [--trace-ring-entries N] \
-                 [--synth-rows N]..."
+                 [--max-pending N] [--cache-entries N] [--cache-bytes N] \
+                 [--cache-dir PATH] [--cache-disk-bytes N] [--slow-threshold-ms N] \
+                 [--trace-ring-entries N] [--synth-rows N]..."
             );
             std::process::exit(2);
         }
@@ -33,16 +33,10 @@ fn main() {
         println!("Registered /datasets/{slug}");
     }
     let state = AppState::with_service(catalog, options.label_service());
-    match options.cache_ttl_secs {
-        Some(secs) => println!(
-            "Label cache: {} entries / {} bytes, TTL {secs}s",
-            options.cache_entries, options.cache_bytes
-        ),
-        None => println!(
-            "Label cache: {} entries / {} bytes, no TTL",
-            options.cache_entries, options.cache_bytes
-        ),
-    }
+    println!(
+        "Label cache: {} entries / {} bytes",
+        options.cache_entries, options.cache_bytes
+    );
 
     let config = options.server_config();
     let server = match Server::bind_state(state, &config) {

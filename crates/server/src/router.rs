@@ -62,8 +62,8 @@ pub struct AppState {
 
 impl AppState {
     /// Wraps a catalogue with an explicit [`LabelService`] — the hook the
-    /// server binary uses to apply its cache-policy flags (TTL, entry and
-    /// byte bounds).
+    /// server binary uses to apply its cache flags (entry and byte bounds,
+    /// the on-disk tier).
     #[must_use]
     pub fn with_service(catalog: DatasetCatalog, labels: LabelService) -> Self {
         AppState {
@@ -316,7 +316,6 @@ fn metrics_exposition(state: &AppState) -> Response {
         ("rf_cache_hits_total", stats.cache.hits),
         ("rf_cache_misses_total", stats.cache.misses),
         ("rf_cache_evictions_total", stats.cache.evictions),
-        ("rf_cache_expired_total", stats.cache.expired),
         ("rf_label_preparations_total", stats.preparations),
         ("rf_label_coalesced_total", stats.coalesced),
         (
@@ -1034,8 +1033,6 @@ mod tests {
         assert!(scheduler["panicked_jobs"].as_u64().is_some());
         assert!(scheduler["queue_depth"].as_u64().is_some());
         assert!(scheduler["steals"].as_u64().is_some());
-        // The cache side gained the TTL expiry counter.
-        assert_eq!(value["cache"]["expired"], 0);
         // And the Monte-Carlo hot-path counters ride along.
         let mc = &value["monte_carlo"];
         assert!(mc["runs"].as_u64().unwrap() >= 1);
@@ -1532,13 +1529,9 @@ mod tests {
 
     /// Demo state over a two-tier cache rooted at `dir`.
     fn disk_state(dir: &std::path::Path) -> AppState {
-        let service = LabelService::with_cache_policy(
-            rf_core::AnalysisPipeline::sequential(),
-            64,
-            1 << 22,
-            None,
-        )
-        .with_disk_tier(Arc::new(rf_store::DiskStore::open(dir, 1 << 22).unwrap()));
+        let service =
+            LabelService::with_pipeline(rf_core::AnalysisPipeline::sequential(), 64, 1 << 22)
+                .with_disk_tier(Arc::new(rf_store::DiskStore::open(dir, 1 << 22).unwrap()));
         AppState::with_service(DatasetCatalog::with_demo_datasets(), service)
     }
 

@@ -16,7 +16,7 @@
 //! ```
 
 use crate::catalog::DatasetCatalog;
-use crate::http::{Request, Response, StatusCode};
+use crate::http::{percent_decode, Request, Response, StatusCode};
 use crate::router::{route, AppState};
 use rf_core::ServiceMetrics;
 use rf_net::{Dispatch, ParsedRequest, Reactor, ReactorConfig, Responder};
@@ -97,10 +97,8 @@ impl Default for ServerConfig {
 }
 
 /// The server binary's command line, parsed: bind address plus the
-/// deployment knobs of the shared label cache.  The cache *policy* (TTL,
-/// bounded entries and bytes) has lived in `rf-core` since the cache landed;
-/// these flags are what finally let a deployment choose it without
-/// recompiling.
+/// deployment knobs of the shared label cache (its entry and byte bounds and
+/// the on-disk tier), the reactors and admission control.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServerOptions {
     /// Address to bind (first positional argument; default `127.0.0.1:8080`).
@@ -111,9 +109,6 @@ pub struct ServerOptions {
     /// Monte-Carlo trials — one pool, so the flag bounds the server's label
     /// CPU and its worker threads.
     pub workers: usize,
-    /// Per-entry label-cache TTL in seconds (`--cache-ttl-secs N`; default
-    /// none — entries never expire by age).
-    pub cache_ttl_secs: Option<u64>,
     /// Maximum resident cached labels (`--cache-entries N`).
     pub cache_entries: usize,
     /// Maximum resident cached bytes (`--cache-bytes N`).
@@ -155,7 +150,6 @@ impl Default for ServerOptions {
         ServerOptions {
             bind_address: "127.0.0.1:8080".to_string(),
             workers: 4,
-            cache_ttl_secs: None,
             cache_entries: rf_core::service::DEFAULT_CACHE_CAPACITY,
             cache_bytes: rf_core::service::DEFAULT_CACHE_BYTES,
             cache_dir: None,
@@ -195,11 +189,9 @@ impl ServerOptions {
                     .parse::<u64>()
                     .map_err(|_| format!("{name} expects a whole number, got `{value}`"))
             };
-            // The reactor/admission knobs reject zero outright instead of
-            // clamping: `--reactors 0` or `--max-conns 0` is a typo'd
-            // deployment, not a server that refuses every byte.  So is
-            // `--cache-ttl-secs 0`: every entry of both cache tiers would
-            // expire the moment it was written.
+            // Every count knob rejects zero outright instead of clamping:
+            // `--reactors 0` or `--cache-bytes 0` is a typo'd deployment,
+            // not a server that refuses every byte or caches nothing.
             let positive = |name: &str, value: u64| -> Result<u64, String> {
                 if value == 0 {
                     Err(format!("{name} must be at least 1"))
@@ -208,16 +200,16 @@ impl ServerOptions {
                 }
             };
             match arg.as_str() {
-                "--workers" => options.workers = (numeric("--workers")? as usize).max(1),
-                "--cache-ttl-secs" => {
-                    options.cache_ttl_secs =
-                        Some(positive("--cache-ttl-secs", numeric("--cache-ttl-secs")?)?);
+                "--workers" => {
+                    options.workers = positive("--workers", numeric("--workers")?)? as usize;
                 }
                 "--cache-entries" => {
-                    options.cache_entries = (numeric("--cache-entries")? as usize).max(1);
+                    options.cache_entries =
+                        positive("--cache-entries", numeric("--cache-entries")?)? as usize;
                 }
                 "--cache-bytes" => {
-                    options.cache_bytes = (numeric("--cache-bytes")? as usize).max(1);
+                    options.cache_bytes =
+                        positive("--cache-bytes", numeric("--cache-bytes")?)? as usize;
                 }
                 "--cache-dir" => {
                     let value = args
@@ -263,8 +255,8 @@ impl ServerOptions {
                 }
                 flag if flag.starts_with("--") => {
                     return Err(format!(
-                        "unknown flag `{flag}` (available: --workers, --cache-ttl-secs, \
-                         --cache-entries, --cache-bytes, --cache-dir, --cache-disk-bytes, \
+                        "unknown flag `{flag}` (available: --workers, --cache-entries, \
+                         --cache-bytes, --cache-dir, --cache-disk-bytes, \
                          --reactors, --max-conns, --idle-timeout-ms, --request-deadline-ms, \
                          --max-pending, --slow-threshold-ms, --trace-ring-entries, \
                          --synth-rows)"
@@ -300,9 +292,8 @@ impl ServerOptions {
     /// Builds the label service these options describe: the parallel
     /// pipeline on a dedicated `workers`-sized scheduler (which the server
     /// dispatches its requests onto as well), behind a cache
-    /// bounded by `cache_entries` / `cache_bytes` whose entries expire
-    /// after `cache_ttl_secs` (when set), with the crash-safe on-disk tier
-    /// under it when `--cache-dir` names a directory.
+    /// bounded by `cache_entries` / `cache_bytes`, with the crash-safe
+    /// on-disk tier under it when `--cache-dir` names a directory.
     ///
     /// The disk tier fails *soft*: labels are pure functions of
     /// (table, config), so an unusable cache directory costs warm restarts,
@@ -311,11 +302,10 @@ impl ServerOptions {
     #[must_use]
     pub fn label_service(&self) -> rf_core::LabelService {
         let pool = Arc::new(rf_runtime::ThreadPool::new(self.workers));
-        let service = rf_core::LabelService::with_cache_policy(
+        let service = rf_core::LabelService::with_pipeline(
             rf_core::AnalysisPipeline::with_pool(pool),
             self.cache_entries,
             self.cache_bytes,
-            self.cache_ttl_secs.map(std::time::Duration::from_secs),
         );
         let Some(dir) = &self.cache_dir else {
             return service;
@@ -452,14 +442,17 @@ impl Drop for PendingGuard {
     }
 }
 
-/// Extracts a `deadline_ms` query parameter from a raw request target
-/// without allocating — the admission check runs on the reactor thread.
+/// Extracts the `deadline_ms` query parameter from a raw request target the
+/// way the router reads it: names and values percent-decoded, the last
+/// occurrence winning.  Allocates only for targets with `%` or `+` — the
+/// admission check runs on the reactor thread.
 fn deadline_ms_of(target: &str) -> Option<u64> {
     let (_, query) = target.split_once('?')?;
-    query
-        .split('&')
-        .find_map(|pair| pair.strip_prefix("deadline_ms="))
-        .and_then(|value| value.parse().ok())
+    let (_, value) = query
+        .rsplit('&')
+        .filter_map(|pair| pair.split_once('='))
+        .find(|(name, _)| percent_decode(name) == "deadline_ms")?;
+    percent_decode(value).parse().ok()
 }
 
 /// Counts dispatched jobs that have not finished, so [`Server::run`] can
@@ -867,14 +860,11 @@ mod tests {
     fn options_parse_defaults_and_flags() {
         let defaults = ServerOptions::parse(Vec::<String>::new()).unwrap();
         assert_eq!(defaults, ServerOptions::default());
-        assert_eq!(defaults.cache_ttl_secs, None, "no TTL unless asked for");
 
         let parsed = ServerOptions::parse([
             "0.0.0.0:9999",
             "--workers",
             "8",
-            "--cache-ttl-secs",
-            "300",
             "--cache-entries",
             "64",
             "--cache-bytes",
@@ -897,7 +887,6 @@ mod tests {
         .unwrap();
         assert_eq!(parsed.bind_address, "0.0.0.0:9999");
         assert_eq!(parsed.workers, 8);
-        assert_eq!(parsed.cache_ttl_secs, Some(300));
         assert_eq!(parsed.cache_entries, 64);
         assert_eq!(parsed.cache_bytes, 1_048_576);
         assert_eq!(parsed.reactors, 4);
@@ -919,13 +908,17 @@ mod tests {
         // Errors: unknown flags, missing values, junk numbers, extra
         // positionals.
         assert!(ServerOptions::parse(["--nope"]).is_err());
-        assert!(ServerOptions::parse(["--cache-ttl-secs"]).is_err());
+        // The cache has no TTL, so `--cache-ttl-secs` is refused, not ignored.
+        let err = ServerOptions::parse(["--cache-ttl-secs", "5"]).unwrap_err();
+        assert!(err.starts_with("unknown flag `--cache-ttl-secs`"), "{err}");
+        assert!(ServerOptions::parse(["--cache-entries"]).is_err());
         assert!(ServerOptions::parse(["--workers", "many"]).is_err());
         assert!(ServerOptions::parse(["a:1", "b:2"]).is_err());
-        // The cache TTL and the reactor/admission knobs reject zero instead
-        // of clamping.
+        // Every count knob rejects zero instead of clamping.
         for zeroed in [
-            ["--cache-ttl-secs", "0"],
+            ["--workers", "0"],
+            ["--cache-entries", "0"],
+            ["--cache-bytes", "0"],
             ["--reactors", "0"],
             ["--max-conns", "0"],
             ["--idle-timeout-ms", "0"],
@@ -1004,30 +997,16 @@ mod tests {
     }
 
     #[test]
-    fn ttl_flag_reaches_the_label_cache_policy() {
-        // The open ROADMAP item this satellite closes: the TTL policy has
-        // existed in rf-core since PR 4; the flags finally wire it into the
-        // deployed binary.
-        let options = ServerOptions::parse([
-            "--cache-ttl-secs",
-            "7",
-            "--cache-entries",
-            "5",
-            "--workers",
-            "3",
-        ])
-        .unwrap();
+    fn cache_and_worker_flags_reach_the_label_service() {
+        let options = ServerOptions::parse(["--cache-entries", "5", "--workers", "3"]).unwrap();
         let state = AppState::with_service(DatasetCatalog::with_demo_datasets(), {
             options.label_service()
         });
         let stats = state.labels.stats();
-        assert_eq!(stats.cache.ttl_millis, Some(7_000));
+        assert_eq!(stats.cache.capacity, 5);
         // --workers sizes the label service's scheduler, which also runs
         // the request jobs — /stats must agree with the flag.
         assert_eq!(stats.scheduler.workers, 3);
-        // And the no-TTL default stays the no-TTL default.
-        let default_service = ServerOptions::default().label_service();
-        assert_eq!(default_service.stats().cache.ttl_millis, None);
     }
 
     #[test]
@@ -1210,6 +1189,38 @@ mod tests {
         assert_eq!(deadline_ms_of("/datasets/x/label.json?k=5"), None);
         assert_eq!(deadline_ms_of("/stats"), None);
         assert_eq!(deadline_ms_of("/x?deadline_ms=soon"), None);
+    }
+
+    #[test]
+    fn deadline_ms_of_agrees_with_the_router_query_param() {
+        // Admission must shed on the budget the label would run with: the
+        // last occurrence, percent-decoded, exactly as the router reads it.
+        let cases = [
+            ("/x?deadline_ms=0&deadline_ms=60000", Some(60_000)),
+            ("/x?deadline_ms=60000&deadline_ms=0", Some(0)),
+            ("/x?deadline%5Fms=0", Some(0)),
+            ("/x?deadline_ms=60000&deadline%5fms=0", Some(0)),
+            ("/x?k=5&deadline_ms=%32%35%30", Some(250)),
+            ("/x?deadline_ms=soon&deadline_ms=7", Some(7)),
+            ("/x?deadline_ms=7&deadline_ms=soon", None),
+            ("/x?deadline_ms=7&deadline_ms", Some(7)),
+            ("/x?deadline_ms=+7", None),
+            ("/x?k=5", None),
+            ("/stats", None),
+        ];
+        for (target, expected) in cases {
+            let raw = format!("GET {target} HTTP/1.1\r\nHost: t\r\n\r\n");
+            let mut parser = rf_net::HttpParser::new();
+            let rf_net::ParseEvent::Request(parsed) = parser.feed(raw.as_bytes()).unwrap() else {
+                panic!("{target}: complete request");
+            };
+            let request = Request::from_parsed(parsed).unwrap();
+            let routed = request
+                .query_param("deadline_ms")
+                .and_then(|value| value.parse::<u64>().ok());
+            assert_eq!(routed, expected, "{target}: router");
+            assert_eq!(deadline_ms_of(target), routed, "{target}: admission");
+        }
     }
 
     #[test]

@@ -306,7 +306,7 @@ fn fault_error(kind: FaultKind) -> io::Error {
 
 /// The checksum covers the fill timestamp and body length as well as the
 /// body, so a bit flip anywhere in the header's variable fields is caught —
-/// a damaged timestamp could otherwise resurrect a TTL-expired entry.
+/// a damaged timestamp could otherwise misorder pruning.
 fn frame_checksum(fill_unix_millis: u64, body_len: u64, body: &[u8]) -> u64 {
     let mut hash = fnv1a(&fill_unix_millis.to_le_bytes());
     hash = fnv1a_update(hash, &body_len.to_le_bytes());
@@ -383,8 +383,7 @@ pub fn parse_frame(framed: &[u8]) -> Result<(u64, &[u8]), FrameError> {
 pub struct DiskStats {
     /// Lookups served from a valid on-disk entry.
     pub disk_hits: u64,
-    /// Lookups that found nothing servable (absent, expired, unreadable, or
-    /// corrupt).
+    /// Lookups that found nothing servable (absent, unreadable, or corrupt).
     pub disk_misses: u64,
     /// Disk hits promoted into the in-memory tier.
     pub promotions: u64,
@@ -475,7 +474,7 @@ struct Inner {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DiskEntry {
     /// When the body was originally generated (unix milliseconds) — the
-    /// timestamp TTL decisions are made against, surviving restarts.
+    /// timestamp pruning orders by, surviving restarts.
     pub fill_unix_millis: u64,
     /// The stored body, exactly as written.
     pub body: Vec<u8>,
@@ -567,19 +566,14 @@ impl DiskStore {
         &self.inner.dir
     }
 
-    /// Looks an entry up, validating its framing and its TTL (against the
-    /// fill timestamp persisted in the header, so an entry cannot come back
-    /// from disk past the age the in-memory tier would have expired it at).
+    /// Looks an entry up, validating its framing.  Entries never expire:
+    /// they are content-addressed, so only pruning and [`DiskStore::clear`]
+    /// remove them.
     ///
-    /// Absent, expired, unreadable, and corrupt entries all count one
-    /// `disk_miss`; corrupt ones are additionally quarantined and counted in
-    /// `corrupt_dropped`, and expired ones are deleted.
-    pub fn lookup(
-        &self,
-        key: StoreKey,
-        ttl_millis: Option<u64>,
-        now_unix_millis: u64,
-    ) -> Option<DiskEntry> {
+    /// Absent, unreadable, and corrupt entries all count one `disk_miss`;
+    /// corrupt ones are additionally quarantined and counted in
+    /// `corrupt_dropped`.
+    pub fn lookup(&self, key: StoreKey) -> Option<DiskEntry> {
         let known = self
             .inner
             .manifest
@@ -618,16 +612,6 @@ impl DiskStore {
                 return None;
             }
         };
-        if let Some(ttl) = ttl_millis {
-            if now_unix_millis.saturating_sub(fill_unix_millis) > ttl {
-                self.inner.delete(key);
-                self.inner
-                    .counters
-                    .disk_misses
-                    .fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-        }
         self.inner
             .counters
             .disk_hits
@@ -926,15 +910,6 @@ impl Inner {
             .corrupt_dropped
             .fetch_add(1, Ordering::Relaxed);
     }
-
-    /// Deletes an entry (TTL expiry) without the quarantine ceremony.
-    fn delete(&self, key: StoreKey) {
-        self.manifest
-            .lock()
-            .expect("disk manifest lock")
-            .remove(&key);
-        let _ = fs::remove_file(self.dir.join(key.file_name()));
-    }
 }
 
 #[cfg(test)]
@@ -1019,9 +994,9 @@ mod tests {
     fn write_then_lookup_round_trips_and_counts() {
         let scratch = Scratch::new();
         let store = DiskStore::open(scratch.path(), 1 << 20).unwrap();
-        assert!(store.lookup(key(1), None, 0).is_none());
+        assert!(store.lookup(key(1)).is_none());
         put(&store, key(1), 777, "body-1");
-        let hit = store.lookup(key(1), None, 0).expect("disk hit");
+        let hit = store.lookup(key(1)).expect("disk hit");
         assert_eq!(hit.fill_unix_millis, 777);
         assert_eq!(hit.body, b"body-1");
         let stats = store.stats();
@@ -1044,8 +1019,8 @@ mod tests {
         // "Process death": the first store is gone; a new one scans.
         let store = DiskStore::open(scratch.path(), 1 << 20).unwrap();
         assert_eq!(store.stats().entries, 2);
-        assert_eq!(store.lookup(key(1), None, 0).unwrap().body, b"alpha");
-        assert_eq!(store.lookup(key(2), None, 0).unwrap().body, b"beta");
+        assert_eq!(store.lookup(key(1)).unwrap().body, b"alpha");
+        assert_eq!(store.lookup(key(2)).unwrap().body, b"beta");
     }
 
     #[test]
@@ -1069,7 +1044,7 @@ mod tests {
         bytes[last] ^= 0x40;
         fs::write(&path, &bytes).unwrap();
 
-        assert!(store.lookup(key(1), None, 0).is_none(), "corrupt → miss");
+        assert!(store.lookup(key(1)).is_none(), "corrupt → miss");
         let stats = store.stats();
         assert_eq!(stats.corrupt_dropped, 1);
         assert_eq!(stats.entries, 0);
@@ -1083,7 +1058,7 @@ mod tests {
         );
         // Regeneration rewrites cleanly.
         put(&store, key(1), 6, "precious");
-        assert_eq!(store.lookup(key(1), None, 0).unwrap().body, b"precious");
+        assert_eq!(store.lookup(key(1)).unwrap().body, b"precious");
     }
 
     #[test]
@@ -1114,37 +1089,21 @@ mod tests {
         let stats = store.stats();
         assert_eq!(stats.entries, 1, "only the intact entry survives");
         assert_eq!(stats.corrupt_dropped, 3);
-        assert!(store.lookup(key(1), None, 0).is_none());
-        assert!(store.lookup(key(2), None, 0).is_none());
-        assert!(store.lookup(key(4), None, 0).is_none());
+        assert!(store.lookup(key(1)).is_none());
+        assert!(store.lookup(key(2)).is_none());
+        assert!(store.lookup(key(4)).is_none());
         assert!(scratch
             .path()
             .join(QUARANTINE_DIR)
             .join(key(4).file_name())
             .exists());
-        assert_eq!(store.lookup(key(3), None, 0).unwrap().body, b"intact");
+        assert_eq!(store.lookup(key(3)).unwrap().body, b"intact");
 
         // The caller regenerates the stale label; the new frame is served.
         put(&store, key(4), 6, "regenerated");
-        let hit = store.lookup(key(4), None, 0).expect("regenerated entry");
+        let hit = store.lookup(key(4)).expect("regenerated entry");
         assert_eq!(hit.body, b"regenerated");
         assert_eq!(hit.fill_unix_millis, 6);
-    }
-
-    #[test]
-    fn ttl_expiry_uses_the_persisted_fill_timestamp() {
-        let scratch = Scratch::new();
-        let store = DiskStore::open(scratch.path(), 1 << 20).unwrap();
-        put(&store, key(1), 1_000, "aging");
-        // Young enough at now=1_500 under a 600ms TTL.
-        assert!(store.lookup(key(1), Some(600), 1_500).is_some());
-        // Expired at now=2_000: removed, never served.
-        assert!(store.lookup(key(1), Some(600), 2_000).is_none());
-        assert_eq!(store.stats().entries, 0);
-        assert!(!scratch.path().join(key(1).file_name()).exists());
-        // Without a TTL the same entry would have lived forever.
-        put(&store, key(2), 1_000, "eternal");
-        assert!(store.lookup(key(2), None, u64::MAX).is_some());
     }
 
     #[test]
@@ -1158,9 +1117,9 @@ mod tests {
         let stats = store.stats();
         assert_eq!(stats.entries, 2);
         assert_eq!(stats.pruned, 1);
-        assert!(store.lookup(key(1), None, 0).is_none(), "oldest evicted");
-        assert!(store.lookup(key(2), None, 0).is_some());
-        assert!(store.lookup(key(3), None, 0).is_some());
+        assert!(store.lookup(key(1)).is_none(), "oldest evicted");
+        assert!(store.lookup(key(2)).is_some());
+        assert!(store.lookup(key(3)).is_some());
         // A body that can never fit is skipped outright.
         let big = "x".repeat(4 * entry_len as usize);
         put(&store, key(9), 400, &big);
@@ -1173,7 +1132,7 @@ mod tests {
         let store = DiskStore::open(scratch.path(), 1 << 20).unwrap();
         put(&store, key(1), 10, "first");
         put(&store, key(1), 99, "second");
-        let hit = store.lookup(key(1), None, 0).unwrap();
+        let hit = store.lookup(key(1)).unwrap();
         assert_eq!(hit.body, b"first", "content-addressed entries never change");
         assert_eq!(hit.fill_unix_millis, 10);
     }
@@ -1186,8 +1145,8 @@ mod tests {
         store.store(key(2), 20, Arc::new("b".to_string())); // still queued
         store.clear();
         assert_eq!(store.stats().entries, 0);
-        assert!(store.lookup(key(1), None, 0).is_none());
-        assert!(store.lookup(key(2), None, 0).is_none());
+        assert!(store.lookup(key(1)).is_none());
+        assert!(store.lookup(key(2)).is_none());
         assert_eq!(
             fs::read_dir(scratch.path())
                 .unwrap()
@@ -1229,7 +1188,7 @@ mod tests {
         assert_eq!(fs::read_dir(scratch.path()).unwrap().count(), 0);
         // The plan is spent: the tier heals by itself.
         put(&store, key(1), 4, "a");
-        assert!(store.lookup(key(1), None, 0).is_some());
+        assert!(store.lookup(key(1)).is_some());
     }
 
     #[test]
@@ -1254,12 +1213,12 @@ mod tests {
             // The write *claimed* success; the manifest believes it exists.
             assert_eq!(store.stats().write_errors, 0, "{kind:?}");
             // …but the framing checks refuse to serve the damage.
-            assert!(store.lookup(key(1), None, 0).is_none(), "{kind:?}");
+            assert!(store.lookup(key(1)).is_none(), "{kind:?}");
             assert_eq!(store.stats().corrupt_dropped, 1, "{kind:?}");
             // Regeneration round-trips.
             put(&store, key(1), 2, "supposedly durable body");
             assert_eq!(
-                store.lookup(key(1), None, 0).unwrap().body,
+                store.lookup(key(1)).unwrap().body,
                 b"supposedly durable body",
                 "{kind:?}"
             );
@@ -1284,10 +1243,10 @@ mod tests {
             },
         ]));
         // EIO: transient — a miss, the entry stays.
-        assert!(store.lookup(key(1), None, 0).is_none());
+        assert!(store.lookup(key(1)).is_none());
         assert_eq!(store.stats().entries, 1);
         // Bit flip on the read path: quarantined like any corruption.
-        assert!(store.lookup(key(1), None, 0).is_none());
+        assert!(store.lookup(key(1)).is_none());
         assert_eq!(store.stats().corrupt_dropped, 1);
         assert_eq!(store.stats().entries, 0);
     }
@@ -1324,7 +1283,7 @@ mod tests {
             fs::write(scratch.path().join(key(1).file_name()), &junk).unwrap();
             drop(store);
             let store = DiskStore::open(scratch.path(), 1 << 20).unwrap();
-            if let Some(entry) = store.lookup(key(1), None, 0) {
+            if let Some(entry) = store.lookup(key(1)) {
                 proptest::prop_assert_eq!(parse_frame(&junk).unwrap().1, entry.body.as_slice());
             } else {
                 proptest::prop_assert!(parse_frame(&junk).is_err() || store.stats().entries == 0);

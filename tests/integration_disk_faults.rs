@@ -84,7 +84,7 @@ fn scenarios() -> (Arc<Table>, Vec<Arc<LabelConfig>>) {
 }
 
 fn disk_service(dir: &std::path::Path) -> LabelService {
-    LabelService::with_cache_policy(AnalysisPipeline::sequential(), 8, 1 << 20, None)
+    LabelService::with_pipeline(AnalysisPipeline::sequential(), 8, 1 << 20)
         .with_disk_tier(Arc::new(DiskStore::open(dir, 1 << 20).unwrap()))
 }
 

@@ -6,12 +6,17 @@
 //!
 //! The preparation counts are read from the service and the pipeline that
 //! did the work, so concurrently running tests cannot move them.
+//!
+//! A model-based proptest checks the cache's two bounds: after every insert,
+//! re-insert, lookup and clear, the `LabelCache` holds at most `capacity`
+//! entries and `max_bytes` bytes, and agrees with a plain LRU model.
 
-use rf_core::{AnalysisPipeline, LabelConfig, LabelService};
+use proptest::prelude::*;
+use rf_core::{AnalysisPipeline, CacheKey, CachedLabel, LabelCache, LabelConfig, LabelService};
 use rf_datasets::{CompasConfig, CsDepartmentsConfig, GermanCreditConfig};
 use rf_ranking::ScoringFunction;
-use rf_table::Table;
-use std::sync::Arc;
+use rf_table::{Column, Table};
+use std::sync::{Arc, OnceLock};
 
 fn cs_scenario() -> (Arc<Table>, Arc<LabelConfig>) {
     let table = CsDepartmentsConfig::default().generate().unwrap();
@@ -158,25 +163,171 @@ fn warm_hits_and_sweeps_reuse_one_preparation_on_all_scenarios() {
                 "{name}: sweep label for k={k} diverges from an independent generate"
             );
         }
+    }
+}
 
-        // A cached sweep performs no preparation either.
-        let before = service.stats().preparations;
-        let cached_sweep = service.label_sweep(&table, &config, &ks).unwrap();
-        assert_eq!(
-            service.stats().preparations,
-            before + 1,
-            "{name}: the service sweep prepares once for its cold sizes"
-        );
-        let before = service.stats().preparations;
-        let warm_sweep = service.label_sweep(&table, &config, &ks).unwrap();
-        assert_eq!(
-            service.stats().preparations,
-            before,
-            "{name}: a fully warm sweep must not prepare"
-        );
-        for ((a, b), expected) in cached_sweep.iter().zip(&warm_sweep).zip(&independent) {
-            assert_eq!(a.json, b.json, "{name}");
-            assert_eq!(a.json.as_ref(), expected, "{name}");
+/// One cacheable label: its key and inputs, a clone-equal copy of its table
+/// in a separate allocation, and the entry's accounted cost.
+struct Entry {
+    key: CacheKey,
+    table: Arc<Table>,
+    rebuilt: Table,
+    config: LabelConfig,
+    value: CachedLabel,
+    cost: usize,
+}
+
+fn small_table(rows: usize) -> Table {
+    Table::from_columns(vec![
+        (
+            "name",
+            Column::from_strings((0..rows).map(|i| format!("r{i}")).collect::<Vec<_>>()),
+        ),
+        (
+            "score",
+            Column::from_f64((0..rows).map(|i| 100.0 - i as f64).collect()),
+        ),
+    ])
+    .unwrap()
+}
+
+/// Six labels: four configurations over one shared table, and two tables of
+/// their own.  Their costs all differ, so equal byte totals mean equal
+/// resident sets.
+fn entries() -> &'static [Entry] {
+    static ENTRIES: OnceLock<Vec<Entry>> = OnceLock::new();
+    ENTRIES.get_or_init(|| {
+        let shared = Arc::new(small_table(24));
+        let inputs = [
+            (Arc::clone(&shared), 3),
+            (Arc::clone(&shared), 5),
+            (Arc::clone(&shared), 8),
+            (Arc::clone(&shared), 12),
+            (Arc::new(small_table(40)), 6),
+            (Arc::new(small_table(60)), 6),
+        ];
+        let scoring = ScoringFunction::from_pairs([("score", 1.0)]).unwrap();
+        let entries: Vec<Entry> = inputs
+            .into_iter()
+            .map(|(table, k)| {
+                let config = LabelConfig::new(scoring.clone()).with_top_k(k);
+                let label = AnalysisPipeline::sequential()
+                    .generate(Arc::clone(&table), Arc::new(config.clone()))
+                    .unwrap();
+                let json = label.to_json().unwrap();
+                Entry {
+                    key: CacheKey::new(&table, &config),
+                    rebuilt: Table::clone(&table),
+                    cost: json.len() + table.approx_heap_bytes(),
+                    table,
+                    config,
+                    value: CachedLabel {
+                        label: Arc::new(label),
+                        json: Arc::new(json),
+                    },
+                }
+            })
+            .collect();
+        let mut costs: Vec<usize> = entries.iter().map(|entry| entry.cost).collect();
+        costs.sort_unstable();
+        costs.dedup();
+        assert_eq!(costs.len(), entries.len(), "entry costs must differ");
+        entries
+    })
+}
+
+/// The reference: resident entries in recency order, least recent first.
+#[derive(Default)]
+struct LruModel {
+    order: Vec<usize>,
+    evictions: u64,
+    hits: u64,
+    misses: u64,
+}
+
+impl LruModel {
+    fn bytes(&self) -> usize {
+        self.order.iter().map(|&i| entries()[i].cost).sum()
+    }
+
+    fn insert(&mut self, i: usize, capacity: usize, max_bytes: usize) {
+        if entries()[i].cost > max_bytes {
+            return;
+        }
+        self.order.retain(|&resident| resident != i);
+        self.order.push(i);
+        while self.order.len() > capacity || self.bytes() > max_bytes {
+            self.order.remove(0);
+            self.evictions += 1;
+        }
+    }
+
+    fn get(&mut self, i: usize) -> bool {
+        let Some(position) = self.order.iter().position(|&resident| resident == i) else {
+            self.misses += 1;
+            return false;
+        };
+        self.order.remove(position);
+        self.order.push(i);
+        self.hits += 1;
+        true
+    }
+}
+
+proptest! {
+    /// Random inserts (a key already resident is a re-insert), lookups and
+    /// clears, with tables passed shared (`Arc` clone) or fresh (a new
+    /// allocation of equal content), under bounds that some entries exceed
+    /// on their own.
+    #[test]
+    fn label_cache_bounds_hold_and_match_an_lru_model(
+        capacity in 1usize..=5,
+        byte_share in 0usize..=100,
+        ops in prop::collection::vec((0u8..10, 0usize..6, any::<bool>()), 1..48),
+    ) {
+        let entries = entries();
+        let smallest = entries.iter().map(|entry| entry.cost).min().unwrap();
+        let largest = entries.iter().map(|entry| entry.cost).max().unwrap();
+        // From half the smallest entry (nothing fits) to three of the largest.
+        let max_bytes = smallest / 2 + byte_share * (3 * largest - smallest / 2) / 100;
+        let mut cache = LabelCache::new(capacity, max_bytes);
+        let mut model = LruModel::default();
+        let mut gets = 0u64;
+        for (step, &(op, i, fresh)) in ops.iter().enumerate() {
+            let entry = &entries[i];
+            match op {
+                0..=4 => {
+                    let table = if fresh {
+                        Arc::new(Table::clone(&entry.table))
+                    } else {
+                        Arc::clone(&entry.table)
+                    };
+                    cache.insert(entry.key, table, entry.value.clone());
+                    model.insert(i, capacity, max_bytes);
+                }
+                5..=8 => {
+                    gets += 1;
+                    let probe = if fresh { &entry.rebuilt } else { &*entry.table };
+                    let hit = cache.get(&entry.key, probe, &entry.config);
+                    prop_assert_eq!(hit.is_some(), model.get(i), "step {}: get {}", step, i);
+                    if let Some(hit) = hit {
+                        prop_assert_eq!(&hit.json, &entry.value.json);
+                    }
+                }
+                _ => {
+                    cache.clear();
+                    model.order.clear();
+                }
+            }
+            let stats = cache.stats();
+            prop_assert!(stats.entries <= capacity, "step {}: {:?}", step, stats);
+            prop_assert!(stats.bytes <= max_bytes, "step {}: {:?}", step, stats);
+            prop_assert_eq!(stats.entries, model.order.len(), "step {}", step);
+            prop_assert_eq!(stats.bytes, model.bytes(), "step {}", step);
+            prop_assert_eq!(stats.evictions, model.evictions, "step {}", step);
+            prop_assert_eq!(stats.hits, model.hits, "step {}", step);
+            prop_assert_eq!(stats.misses, model.misses, "step {}", step);
+            prop_assert_eq!(stats.hits + stats.misses, gets, "step {}", step);
         }
     }
 }
