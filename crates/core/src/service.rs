@@ -495,11 +495,11 @@ impl LabelService {
         table: &Arc<Table>,
         config: &Arc<LabelConfig>,
     ) -> Option<CachedLabel> {
-        let entry = disk.lookup(Self::store_key(key))?;
+        let body = disk.lookup(Self::store_key(key))?;
         // The framing checksum held, so this is what the writer stored —
         // but the writer could have been a colliding key's leader, and the
         // body must round-trip back into a label for the HTML/text renders.
-        let Ok(json) = String::from_utf8(entry.body) else {
+        let Ok(json) = String::from_utf8(body) else {
             disk.discard_corrupt(Self::store_key(key));
             return None;
         };

@@ -29,7 +29,14 @@
 //! operation in the same order with the same expressions — including the
 //! reference path's quirks (weight jitter resets the missing-value policy to
 //! its default; a ranking-size mismatch degrades Kendall tau to `0.0`).  The
-//! resulting ranking, and therefore the Monte-Carlo summary built on it, is
+//! one exception is the order-free folds: the minimum, maximum and
+//! finiteness of a perturbed column and of the scores run in [`LANES`]
+//! independent lanes ([`lane_range`]).  A lane minimum or maximum equals the
+//! serial fold as a number and can differ only in the sign of a zero, which
+//! changes no score (`v - lo` differs only at `v = -0.0`, and adding that
+//! `±0.0` term to a score that is never `-0.0` gives the same bits) and no
+//! sort key ([`descending_sort_key`] maps `-0.0` to `+0.0`).  The resulting
+//! ranking, and therefore the Monte-Carlo summary built on it, is
 //! **byte-identical** to the materialized path for every seed — asserted by
 //! the unit tests below and by `rf-stability`'s parity proptests.
 //!
@@ -109,6 +116,50 @@ pub fn descending_sort_key(score: f64) -> u64 {
     !ascending
 }
 
+/// Independent accumulator lanes of [`lane_range`]: enough to break the
+/// serial dependency chain of a fold, few enough to stay in registers.
+const LANES: usize = 4;
+
+/// `(min, max, all_finite)` of `values`, each folded in [`LANES`]
+/// independent lanes that merge at the end; `(∞, -∞, true)` when `values`
+/// is empty.  NaN is skipped by the minimum and the maximum, as `f64::min`
+/// and `f64::max` skip it, and clears the finiteness flag.
+///
+/// The three folds do not depend on order, so the lanes give the serial
+/// folds' results as numbers; only the sign of a zero minimum or maximum
+/// may differ (`-0.0 == 0.0`), and the kernel's callers are insensitive to
+/// it (see the module docs).
+#[must_use]
+pub(crate) fn lane_range(values: &[f64]) -> (f64, f64, bool) {
+    let mut lo = [f64::INFINITY; LANES];
+    let mut hi = [f64::NEG_INFINITY; LANES];
+    // `v * 0.0` is a zero for a finite `v` and NaN for NaN and `±∞`, and
+    // NaN sticks in a sum: a lane's sum stays zero exactly while its values
+    // are finite.  A multiply and an add per vector instead of a mask fold.
+    let mut nonfinite = [0.0f64; LANES];
+    let mut fold = |lane: usize, value: f64| {
+        // A compare-and-select keeps the lane when `value` is NaN: one
+        // `minpd`/`maxpd` per vector, with `f64::min`'s result.
+        lo[lane] = if value < lo[lane] { value } else { lo[lane] };
+        hi[lane] = if value > hi[lane] { value } else { hi[lane] };
+        nonfinite[lane] += value * 0.0;
+    };
+    let mut chunks = values.chunks_exact(LANES);
+    for chunk in &mut chunks {
+        for (lane, &value) in chunk.iter().enumerate() {
+            fold(lane, value);
+        }
+    }
+    for (lane, &value) in chunks.remainder().iter().enumerate() {
+        fold(lane, value);
+    }
+    (
+        lo.into_iter().fold(f64::INFINITY, f64::min),
+        hi.into_iter().fold(f64::NEG_INFINITY, f64::max),
+        nonfinite.into_iter().all(|sum| sum == 0.0),
+    )
+}
+
 /// Below this many rows a comparison sort of `(key, row)` beats
 /// [`packed_argsort`] (measured on a 2-vCPU Xeon; both give one order).
 pub(crate) const RADIX_CUTOFF: usize = 4 * TILE;
@@ -117,16 +168,19 @@ pub(crate) const RADIX_CUTOFF: usize = 4 * TILE;
 /// payload(row)` for the `i`-th row in the order of `sort_unstable` on
 /// `(descending_sort_key(value), row)` pairs.
 ///
-/// All keys share the leading bits that the largest and smallest value's
-/// keys share; the digit is the 32 key bits just below them, sorted by at
-/// most four stable LSD byte passes (a constant byte needs none), which keep
-/// equal digits in row order.  When fewer than 32 bits are shared the digit
-/// drops the key's low bits, so a run of equal digits whose keys differ is
-/// re-sorted by `(key, row)`, with `row_of` mapping payloads back to rows.
+/// `lo` and `hi` are the smallest and largest value ([`lane_range`]; the
+/// sign of a zero does not matter).  All keys share the leading bits that
+/// the keys of `lo` and `hi` share; the digit is the 32 key bits just below
+/// them, sorted by at most four stable LSD byte passes (a constant byte
+/// needs none), which keep equal digits in row order.  When fewer than 32
+/// bits are shared the digit drops the key's low bits, so a run of equal
+/// digits whose keys differ is re-sorted by `(key, row)`, with `row_of`
+/// mapping payloads back to rows.
 /// Payloads are distinct and the row count fits a `u32`; `words` and its
 /// ping-pong buffer `tmp` may swap.
 pub(crate) fn packed_argsort(
     values: &[f64],
+    (lo, hi): (f64, f64),
     payload: impl Fn(usize) -> u32,
     row_of: impl Fn(u32) -> usize,
     words: &mut Vec<u64>,
@@ -134,11 +188,6 @@ pub(crate) fn packed_argsort(
 ) {
     let n = values.len();
     debug_assert!(u32::try_from(n).is_ok(), "row count fits a u32");
-    let (lo, hi) = values
-        .iter()
-        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
-            (lo.min(v), hi.max(v))
-        });
     let shared = (descending_sort_key(hi) ^ descending_sort_key(lo)).leading_zeros();
     let shift = 32u32.saturating_sub(shared);
     let mut histograms = [[0u32; 256]; 4];
@@ -201,13 +250,19 @@ struct KernelColumn {
     /// `true` when the column has no missing values — `row_map` is then the
     /// identity and scoring can stream the packed buffer directly.
     dense: bool,
+    /// Whether a trial reads the column's perturbed sum: as the z-score
+    /// mean, or as the imputation mean of a sparse column under
+    /// [`MissingValuePolicy::MeanImpute`].  Otherwise the trial skips it.
+    sum_read: bool,
 }
 
-/// Single-pass statistics of one column's perturbed values for one trial,
-/// accumulated while the noise is written: the min/max folds of the
-/// normalizer fit, the summation of the imputation mean, and the
-/// finiteness check of `rf_stats::mean` — each accumulator independent, so
-/// fusing the passes is float-identical to running them separately.
+/// Statistics of one column's perturbed values for one trial.  The min/max
+/// folds of the normalizer fit and the finiteness check of `rf_stats::mean`
+/// do not depend on order: they run in [`LANES`] lanes ([`lane_range`]),
+/// tile by tile while the noise is written.  The summation behind the
+/// z-score and imputation means does: it stays one serial fold in row
+/// order, the reference's exact sequence, and runs only when the column's
+/// sum is read (`KernelColumn::sum_read`); `sum` is NaN otherwise.
 #[derive(Debug, Clone, Copy, Default)]
 struct ColumnTrialStats {
     min: f64,
@@ -394,12 +449,15 @@ impl TrialKernel {
                 0.0
             };
             let dense = packed.len() == row_map.len();
+            let sum_read = scoring.normalization() == NormalizationMethod::ZScore
+                || (scoring.missing_policy() == MissingValuePolicy::MeanImpute && !dense);
             column_names.push(name);
             columns.push(KernelColumn {
                 packed,
                 row_map,
                 scale,
                 dense,
+                sum_read,
             });
         }
 
@@ -610,11 +668,13 @@ impl TrialKernel {
     ) -> RankingResult<()> {
         // 1. Data noise, per perturbed column in schema order, one Gaussian
         //    per non-missing value in row order — the perturber's draw order.
-        //    The statistics the later stages need (the normalizer's min/max
-        //    folds, the imputation mean's summation and finiteness check)
-        //    accumulate in the same pass; each accumulator performs exactly
-        //    the operation sequence its standalone fold would, so fusing
-        //    the passes changes no bits.
+        //    The order-free statistics the later stages need (the
+        //    normalizer's min and max, the means' finiteness check) fold in
+        //    lanes over each tile while it is in L1; a lane result differs
+        //    from the serial fold at most in the sign of a zero, which no
+        //    score or sort key sees (module docs).  The sum is a serial fold
+        //    in row order, the reference's exact sequence, and runs only for
+        //    a column whose sum a z-score or an imputation mean reads.
         let perturbed = if self.data_noise {
             for ((column, buffer), stats) in self
                 .columns
@@ -628,21 +688,21 @@ impl TrialKernel {
                 fill_gaussian(rng, buffer);
                 let mut min = f64::INFINITY;
                 let mut max = f64::NEG_INFINITY;
-                let mut sum = 0.0;
                 let mut all_finite = true;
-                // Tiled for locality; the per-element accumulator order
-                // inside a tile is the reference order, so blocking changes
-                // no bits on either path.
                 for (tile, out) in column.packed.chunks(TILE).zip(buffer.chunks_mut(TILE)) {
-                    for (&base, slot) in tile.iter().zip(out) {
-                        let value = base + *slot * column.scale;
-                        min = min.min(value);
-                        max = max.max(value);
-                        sum += value;
-                        all_finite &= value.is_finite();
-                        *slot = value;
+                    for (&base, slot) in tile.iter().zip(out.iter_mut()) {
+                        *slot = base + *slot * column.scale;
                     }
+                    let (lo, hi, finite) = lane_range(out);
+                    min = min.min(lo);
+                    max = max.max(hi);
+                    all_finite &= finite;
                 }
+                let sum = if column.sum_read {
+                    buffer.iter().fold(0.0, |sum, &value| sum + value)
+                } else {
+                    f64::NAN
+                };
                 *stats = ColumnTrialStats {
                     min,
                     max,
@@ -761,6 +821,8 @@ impl TrialKernel {
                 for attr in &self.attrs {
                     let column = &self.columns[attr.column];
                     let stats = scratch.col_stats[attr.column];
+                    // NaN when the column's sum is not read: no score
+                    // reads this mean then.
                     let mean = if column.packed.is_empty() {
                         0.0
                     } else if !stats.all_finite {
@@ -908,17 +970,18 @@ impl TrialKernel {
         }
 
         // 5. The ranking: the validation and argsort of
-        //    `Ranking::from_scores`, into reused word buffers.  The scores
-        //    are verified finite first, so the argsort can leave float
-        //    comparisons behind: each score maps to a monotone integer key
-        //    ([`descending_sort_key`]), ties go to the lower row, and each
-        //    row carries its original position as the payload
-        //    ([`packed_argsort`]) — no comparator calls, no per-trial
-        //    allocation, same order bit for bit.
+        //    `Ranking::from_scores`, into reused word buffers.  One lane scan
+        //    verifies the scores finite and yields their range, so the
+        //    argsort can leave float comparisons behind: each score maps to
+        //    a monotone integer key ([`descending_sort_key`]), ties go to
+        //    the lower row, and each row carries its original position as
+        //    the payload ([`packed_argsort`]) — no comparator calls, no
+        //    per-trial allocation, same order bit for bit.
         if scratch.scores.is_empty() {
             return Err(RankingError::EmptyRanking);
         }
-        if scratch.scores.iter().any(|s| !s.is_finite()) {
+        let (lo, hi, all_finite) = lane_range(&scratch.scores);
+        if !all_finite {
             return Err(RankingError::Stats(rf_stats::StatsError::NonFiniteInput {
                 operation: "Ranking::from_scores",
             }));
@@ -945,6 +1008,7 @@ impl TrialKernel {
         } else {
             packed_argsort(
                 &scratch.scores,
+                (lo, hi),
                 |row| self.positions[row],
                 |position| self.rows_by_position[position as usize] as usize,
                 &mut scratch.words,
@@ -1049,8 +1113,10 @@ mod tests {
         }
         let mut words = vec![u64::MAX; values.len() / 2];
         let mut tmp = vec![7u64; values.len() + 3];
+        let (lo, hi, _) = lane_range(values);
         packed_argsort(
             values,
+            (lo, hi),
             |row| payloads[row],
             |payload| rows_by_payload[payload as usize],
             &mut words,
@@ -1161,6 +1227,34 @@ mod tests {
         }
 
         #[test]
+        fn lane_folds_match_the_serial_folds(
+            seed in proptest::prelude::any::<u64>(),
+            shape in 0usize..4,
+            quads in 0usize..=275,
+        ) {
+            // Every residue mod `LANES`, so each remainder path runs.
+            for residue in 0..LANES {
+                let n = quads * LANES + residue;
+                if n > 1_100 {
+                    continue;
+                }
+                let mut rng = ChaCha8Rng::seed_from_u64(seed ^ residue as u64);
+                let values = fold_values(shape, n, &mut rng);
+                let serial_lo = values.iter().copied().fold(f64::INFINITY, f64::min);
+                let serial_hi = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                let serial_finite = values.iter().all(|v| v.is_finite());
+                let (lo, hi, finite) = lane_range(&values);
+                for (lane, serial) in [(lo, serial_lo), (hi, serial_hi)] {
+                    proptest::prop_assert!(lane == serial, "n {}: {} vs {}", n, lane, serial);
+                    if serial != 0.0 {
+                        proptest::prop_assert_eq!(lane.to_bits(), serial.to_bits(), "n {}", n);
+                    }
+                }
+                proptest::prop_assert_eq!(finite, serial_finite, "n {}", n);
+            }
+        }
+
+        #[test]
         fn relaxed_fp_trial_scores_within_epsilon_of_exact(
             values in proptest::collection::vec(-1.0e3..1.0e3f64, 8..512),
             seed in 0u64..1_000_000,
@@ -1199,6 +1293,48 @@ mod tests {
                     "row {}: exact {} vs relaxed {}", row, exact, relaxed
                 );
             }
+        }
+    }
+
+    /// Values of one of four shapes for the lane-fold proptest.
+    fn fold_values(shape: usize, n: usize, rng: &mut ChaCha8Rng) -> Vec<f64> {
+        const SPECIALS: [f64; 9] = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE / 4.0,
+            -f64::MIN_POSITIVE / 4.0,
+            f64::MAX,
+            f64::MIN,
+        ];
+        let pick = |rng: &mut ChaCha8Rng| SPECIALS[rng.gen_range(0..SPECIALS.len())];
+        match shape {
+            // Ordinary values with a special one sprinkled in now and then.
+            0 => (0..n)
+                .map(|_| {
+                    if rng.gen_range(0..16usize) == 0 {
+                        pick(rng)
+                    } else {
+                        rng.gen_range(-1.0e3..1.0e3)
+                    }
+                })
+                .collect(),
+            // Finite values only: both zeros, subnormals and normals, so
+            // zero minima and maxima and subnormal extremes occur.
+            1 => (0..n)
+                .map(|_| match rng.gen_range(0..4usize) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => f64::from_bits(rng.gen_range(1..1u64 << 52)),
+                    _ => -f64::from_bits(rng.gen_range(1..1u64 << 52)),
+                })
+                .collect(),
+            // All equal, any of the specials included.
+            2 => vec![pick(rng); n],
+            // Specials only.
+            _ => (0..n).map(|_| pick(rng)).collect(),
         }
     }
 
@@ -1556,6 +1692,122 @@ mod tests {
                 let kernel = kernel_trial(&table, &scoring, 0.15, 0.0, seed).unwrap();
                 assert_eq!(reference, kernel, "{policy:?}, seed {seed}");
             }
+        }
+    }
+
+    /// Fits a kernel against the original ranking of `table` and asserts,
+    /// per seed, that the trial's ranking and Kendall tau are bit-identical
+    /// to the materialized trial's.
+    fn assert_trials_and_tau_match(
+        table: &Table,
+        scoring: &ScoringFunction,
+        (data_noise, weight_noise): (f64, f64),
+        seeds: &[u64],
+        what: &str,
+    ) {
+        let original = scoring.rank_table(table).unwrap();
+        let kernel = TrialKernel::fit(table, scoring, &original, data_noise, weight_noise).unwrap();
+        let mut scratch = kernel.scratch();
+        let rows_by_position = original.order();
+        for &seed in seeds {
+            let reference =
+                materialized_trial(table, scoring, data_noise, weight_noise, seed).unwrap();
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            kernel.rank_trial(&mut rng, &mut scratch).unwrap();
+            let rows: Vec<usize> = scratch
+                .original_positions()
+                .map(|position| rows_by_position[position])
+                .collect();
+            assert_eq!(rows, reference.order(), "{what}, seed {seed}");
+            let tau = crate::kendall_tau_rankings(&original, &reference).unwrap();
+            assert_eq!(
+                scratch.kendall_tau().to_bits(),
+                tau.to_bits(),
+                "{what}, seed {seed}: tau"
+            );
+        }
+    }
+
+    /// Row counts below and above [`RADIX_CUTOFF`], so both argsorts run.
+    const SORT_PATH_ROWS: [usize; 2] = [40, RADIX_CUTOFF + 37];
+
+    #[test]
+    fn kernel_matches_materialized_trials_and_tau_under_z_score() {
+        // The z-score mean is the serial sum, folded only where it is read:
+        // over dense columns, and over a sparse one under either non-error
+        // policy.
+        for rows in SORT_PATH_ROWS {
+            let table = tiled_table(rows);
+            let zscore = |pairs: [(&str, f64); 2]| {
+                ScoringFunction::with_normalization(
+                    pairs
+                        .iter()
+                        .map(|&(name, weight)| crate::score::AttributeWeight::new(name, weight))
+                        .collect(),
+                    NormalizationMethod::ZScore,
+                )
+                .unwrap()
+            };
+            let dense = zscore([("u", 0.6), ("v", 0.4)]);
+            let what = format!("rows {rows}, dense");
+            assert_trials_and_tau_match(&table, &dense, (0.1, 0.1), &[0, 7, 4242], &what);
+            for policy in [MissingValuePolicy::MeanImpute, MissingValuePolicy::Zero] {
+                let sparse = zscore([("w", 0.7), ("u", -0.3)]).with_missing_policy(policy);
+                let what = format!("rows {rows}, {policy:?}");
+                assert_trials_and_tau_match(&table, &sparse, (0.2, 0.05), &[1, 99], &what);
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_matches_materialized_trials_and_tau_with_mean_imputed_missing_cells() {
+        // Min-max reads no sum but the imputation mean of the sparse column
+        // does, so only that column folds one.
+        for rows in SORT_PATH_ROWS {
+            let table = tiled_table(rows);
+            let scoring = ScoringFunction::from_pairs([("w", 0.5), ("v", 0.3), ("u", 0.2)])
+                .unwrap()
+                .with_missing_policy(MissingValuePolicy::MeanImpute);
+            for noise in [(0.15, 0.0), (0.15, 0.2)] {
+                let what = format!("rows {rows}, noise {noise:?}");
+                assert_trials_and_tau_match(&table, &scoring, noise, &[3, 31, 313], &what);
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_matches_materialized_trials_and_tau_with_signed_zero_extremes() {
+        // Columns whose minimum (`lo`) or maximum (`hi`) is a zero of either
+        // sign, scored with a negative weight: the lane range may pick the
+        // other zero than the serial fold, which must change no ranking.
+        // The smallest data noise makes every noise scale underflow to 0,
+        // so a trial runs the perturbed path on the base values, each zero
+        // taking the sign its noise draw gives it.
+        let cycle = [-0.0, 0.0, 0.25, 0.5, 0.0, -0.0, 0.125];
+        for rows in SORT_PATH_ROWS {
+            let table = Table::from_columns(vec![
+                (
+                    "lo",
+                    Column::from_f64((0..rows).map(|i| cycle[i % cycle.len()]).collect()),
+                ),
+                (
+                    "hi",
+                    Column::from_f64((0..rows).map(|i| -cycle[i * 3 % cycle.len()]).collect()),
+                ),
+                (
+                    "t",
+                    Column::from_f64((0..rows).map(|i| (i % 5) as f64 * 0.25).collect()),
+                ),
+            ])
+            .unwrap();
+            let scoring =
+                ScoringFunction::from_pairs([("lo", -0.5), ("hi", 0.3), ("t", 0.2)]).unwrap();
+            let data_noise = f64::from_bits(1);
+            let kernel =
+                TrialKernel::fit(&table, &scoring, &identity(&table), data_noise, 0.1).unwrap();
+            assert!(kernel.data_noise && kernel.columns.iter().all(|c| c.scale == 0.0));
+            let what = format!("rows {rows}");
+            assert_trials_and_tau_match(&table, &scoring, (data_noise, 0.1), &[0, 5, 8, 21], &what);
         }
     }
 

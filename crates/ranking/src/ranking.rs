@@ -5,7 +5,7 @@
 //! "the top-10 and over-all" views of the same ranking; [`Ranking::top_k`]
 //! and [`Ranking::order`] provide those slices.
 
-use crate::columnar::{descending_sort_key, packed_argsort, RADIX_CUTOFF};
+use crate::columnar::{descending_sort_key, lane_range, packed_argsort, RADIX_CUTOFF};
 use crate::error::{RankingError, RankingResult};
 
 /// One item of a ranking.
@@ -189,8 +189,10 @@ pub fn sort_descending(values: &[f64]) -> Vec<usize> {
         return pairs.into_iter().map(|(_, row)| row).collect();
     }
     let (mut words, mut tmp) = (Vec::new(), Vec::new());
+    let (lo, hi, _) = lane_range(values);
     packed_argsort(
         values,
+        (lo, hi),
         |row| row as u32,
         |row| row as usize,
         &mut words,

@@ -470,16 +470,6 @@ struct Inner {
     temp_seq: AtomicU64,
 }
 
-/// A valid entry read back from disk.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DiskEntry {
-    /// When the body was originally generated (unix milliseconds) — the
-    /// timestamp pruning orders by, surviving restarts.
-    pub fill_unix_millis: u64,
-    /// The stored body, exactly as written.
-    pub body: Vec<u8>,
-}
-
 enum Job {
     Write {
         key: StoreKey,
@@ -566,14 +556,15 @@ impl DiskStore {
         &self.inner.dir
     }
 
-    /// Looks an entry up, validating its framing.  Entries never expire:
-    /// they are content-addressed, so only pruning and [`DiskStore::clear`]
-    /// remove them.
+    /// Looks an entry up, validating its framing, and returns its body
+    /// exactly as written.  Entries never expire: they are
+    /// content-addressed, so only pruning (by the fill time the frame keeps)
+    /// and [`DiskStore::clear`] remove them.
     ///
     /// Absent, unreadable, and corrupt entries all count one `disk_miss`;
     /// corrupt ones are additionally quarantined and counted in
     /// `corrupt_dropped`.
-    pub fn lookup(&self, key: StoreKey) -> Option<DiskEntry> {
+    pub fn lookup(&self, key: StoreKey) -> Option<Vec<u8>> {
         let known = self
             .inner
             .manifest
@@ -601,8 +592,8 @@ impl DiskStore {
                 return None;
             }
         };
-        let (fill_unix_millis, body) = match parse_frame(&framed) {
-            Ok(parsed) => parsed,
+        let body = match parse_frame(&framed) {
+            Ok((_, body)) => body,
             Err(_) => {
                 self.inner.quarantine(key);
                 self.inner
@@ -616,10 +607,7 @@ impl DiskStore {
             .counters
             .disk_hits
             .fetch_add(1, Ordering::Relaxed);
-        Some(DiskEntry {
-            fill_unix_millis,
-            body: body.to_vec(),
-        })
+        Some(body.to_vec())
     }
 
     /// Enqueues a write-behind of `body` under `key`.  Returns immediately;
@@ -956,6 +944,13 @@ mod tests {
         store.flush();
     }
 
+    /// The fill time and body of the frame stored under `k` in `dir`.
+    fn stored_frame(dir: &Path, k: StoreKey) -> (u64, Vec<u8>) {
+        let framed = fs::read(dir.join(k.file_name())).expect("stored frame");
+        let (fill_unix_millis, body) = parse_frame(&framed).expect("valid frame");
+        (fill_unix_millis, body.to_vec())
+    }
+
     #[test]
     fn frame_round_trips_and_catches_every_corruption_class() {
         let body = br#"{"label":"demo"}"#;
@@ -996,9 +991,11 @@ mod tests {
         let store = DiskStore::open(scratch.path(), 1 << 20).unwrap();
         assert!(store.lookup(key(1)).is_none());
         put(&store, key(1), 777, "body-1");
-        let hit = store.lookup(key(1)).expect("disk hit");
-        assert_eq!(hit.fill_unix_millis, 777);
-        assert_eq!(hit.body, b"body-1");
+        assert_eq!(store.lookup(key(1)).expect("disk hit"), b"body-1");
+        assert_eq!(
+            stored_frame(scratch.path(), key(1)),
+            (777, b"body-1".to_vec())
+        );
         let stats = store.stats();
         assert_eq!(stats.disk_hits, 1);
         assert_eq!(stats.disk_misses, 1);
@@ -1019,8 +1016,8 @@ mod tests {
         // "Process death": the first store is gone; a new one scans.
         let store = DiskStore::open(scratch.path(), 1 << 20).unwrap();
         assert_eq!(store.stats().entries, 2);
-        assert_eq!(store.lookup(key(1)).unwrap().body, b"alpha");
-        assert_eq!(store.lookup(key(2)).unwrap().body, b"beta");
+        assert_eq!(store.lookup(key(1)).unwrap(), b"alpha");
+        assert_eq!(store.lookup(key(2)).unwrap(), b"beta");
     }
 
     #[test]
@@ -1058,7 +1055,7 @@ mod tests {
         );
         // Regeneration rewrites cleanly.
         put(&store, key(1), 6, "precious");
-        assert_eq!(store.lookup(key(1)).unwrap().body, b"precious");
+        assert_eq!(store.lookup(key(1)).unwrap(), b"precious");
     }
 
     #[test]
@@ -1097,13 +1094,13 @@ mod tests {
             .join(QUARANTINE_DIR)
             .join(key(4).file_name())
             .exists());
-        assert_eq!(store.lookup(key(3)).unwrap().body, b"intact");
+        assert_eq!(store.lookup(key(3)).unwrap(), b"intact");
 
         // The caller regenerates the stale label; the new frame is served.
         put(&store, key(4), 6, "regenerated");
         let hit = store.lookup(key(4)).expect("regenerated entry");
-        assert_eq!(hit.body, b"regenerated");
-        assert_eq!(hit.fill_unix_millis, 6);
+        assert_eq!(hit, b"regenerated");
+        assert_eq!(stored_frame(scratch.path(), key(4)), (6, hit));
     }
 
     #[test]
@@ -1133,8 +1130,8 @@ mod tests {
         put(&store, key(1), 10, "first");
         put(&store, key(1), 99, "second");
         let hit = store.lookup(key(1)).unwrap();
-        assert_eq!(hit.body, b"first", "content-addressed entries never change");
-        assert_eq!(hit.fill_unix_millis, 10);
+        assert_eq!(hit, b"first", "content-addressed entries never change");
+        assert_eq!(stored_frame(scratch.path(), key(1)), (10, hit));
     }
 
     #[test]
@@ -1218,7 +1215,7 @@ mod tests {
             // Regeneration round-trips.
             put(&store, key(1), 2, "supposedly durable body");
             assert_eq!(
-                store.lookup(key(1)).unwrap().body,
+                store.lookup(key(1)).unwrap(),
                 b"supposedly durable body",
                 "{kind:?}"
             );
@@ -1283,8 +1280,8 @@ mod tests {
             fs::write(scratch.path().join(key(1).file_name()), &junk).unwrap();
             drop(store);
             let store = DiskStore::open(scratch.path(), 1 << 20).unwrap();
-            if let Some(entry) = store.lookup(key(1)) {
-                proptest::prop_assert_eq!(parse_frame(&junk).unwrap().1, entry.body.as_slice());
+            if let Some(body) = store.lookup(key(1)) {
+                proptest::prop_assert_eq!(parse_frame(&junk).unwrap().1, body.as_slice());
             } else {
                 proptest::prop_assert!(parse_frame(&junk).is_err() || store.stats().entries == 0);
             }
