@@ -1,11 +1,13 @@
 //! End-to-end label generation cost (the Figure 1 pipeline) as the dataset
 //! grows, plus the three demonstration scenarios at their paper sizes, a
 //! parallel-versus-sequential schedule comparison of the analysis pipeline,
-//! and one preparation amortized over a sweep of `k` values.
+//! one preparation amortized over a sweep of `k` values, and both sides of
+//! the label service's prepared-analysis memo on a 20k-row table.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rf_bench::{compas_scenario, cs_label_config, cs_table_with_rows, german_credit_scenario};
-use rf_core::AnalysisPipeline;
+use rf_core::{AnalysisPipeline, LabelConfig, LabelService};
+use rf_ranking::ScoringFunction;
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -157,6 +159,55 @@ fn sweep_amortization(c: &mut Criterion) {
     group.finish();
 }
 
+/// Cold labels of the catalogue's 20k-row synth scenario through one
+/// `LabelService`, every iteration a cache miss.  `memo_hit` changes only
+/// the Monte-Carlo seed, so the label reuses the ranking, groups,
+/// normalized matrix and Ingredients core the table's recipe prepared;
+/// `memo_miss` changes a weight, so every label prepares from scratch (the
+/// cost of a unique recipe, which must not grow with the memo).
+fn service_memo(c: &mut Criterion) {
+    let mut group = c.benchmark_group("label_generation/service_memo_synth_20k");
+    group.sample_size(15);
+    let catalog = rf_server::DatasetCatalog::new();
+    let entry = catalog
+        .get(&catalog.register_synth_scenario(20_000))
+        .expect("registered");
+    let service = LabelService::with_pipeline(
+        parallel(),
+        rf_core::service::DEFAULT_CACHE_CAPACITY,
+        rf_core::service::DEFAULT_CACHE_BYTES,
+    );
+    let mut seed = 0u64;
+    group.bench_function("memo_hit", |b| {
+        b.iter(|| {
+            seed += 1;
+            let config = Arc::new(entry.config.clone().with_monte_carlo_seed(seed));
+            let label = service.label(&entry.table, &config).expect("label");
+            black_box(label.json.len())
+        });
+    });
+    let mut step = 0u32;
+    group.bench_function("memo_miss", |b| {
+        b.iter(|| {
+            step += 1;
+            let weight = 0.2 + f64::from(step) * 1e-9;
+            let scoring = ScoringFunction::from_pairs([
+                ("score_0", 0.5),
+                ("score_1", 0.3),
+                ("score_2", weight),
+            ])
+            .expect("valid scoring");
+            let config = Arc::new(LabelConfig {
+                scoring,
+                ..entry.config.clone()
+            });
+            let label = service.label(&entry.table, &config).expect("label");
+            black_box(label.json.len())
+        });
+    });
+    group.finish();
+}
+
 fn label_rendering(c: &mut Criterion) {
     let mut group = c.benchmark_group("label_rendering");
     let table = Arc::new(cs_table_with_rows(97));
@@ -176,6 +227,7 @@ criterion_group!(
     label_generation_scenarios,
     pipeline_schedules,
     sweep_amortization,
+    service_memo,
     label_rendering
 );
 criterion_main!(benches);

@@ -70,8 +70,9 @@ impl CacheKey {
 /// The byte bound charges an entry its JSON length plus its retained table.
 /// The label itself goes uncharged, which is sound because it is
 /// O(k + widgets): it holds the item count and the top-k rows, never the
-/// full O(n) ranking (that stays on the prepared
-/// [`AnalysisContext`](crate::AnalysisContext)).
+/// full O(n) ranking (that stays on the
+/// [`PreparedAnalysis`](crate::PreparedAnalysis), which the service's table
+/// memo keeps per live table).
 #[derive(Debug, Clone)]
 pub struct CachedLabel {
     /// The assembled label.

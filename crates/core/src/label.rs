@@ -31,7 +31,8 @@ pub struct RankedRow {
 /// The label carries what it shows, so its size is O(k + widgets) and does
 /// not grow with the table: the number of ranked items, the top-k display
 /// rows, and the widgets.  The full order induced by the Recipe lives on the
-/// prepared [`AnalysisContext::ranking`](crate::AnalysisContext::ranking);
+/// prepared [`PreparedAnalysis::ranking`](crate::PreparedAnalysis::ranking)
+/// (`ctx.ranking` on an [`AnalysisContext`](crate::AnalysisContext));
 /// callers that need it call [`AnalysisPipeline::prepare`].
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct NutritionalLabel {

@@ -78,8 +78,8 @@ pub use error::{LabelError, LabelResult};
 pub use label::NutritionalLabel;
 pub use mitigation::{MitigationSearch, MitigationSuggestion};
 pub use pipeline::{
-    AnalysisContext, AnalysisPipeline, FairnessMeasurePart, MonteCarloRuntimeStats, ServiceMetrics,
-    WidgetBuilder, WidgetOutput,
+    AnalysisContext, AnalysisPipeline, FairnessMeasurePart, MonteCarloRuntimeStats,
+    PreparedAnalysis, ServiceMetrics, WidgetBuilder, WidgetOutput,
 };
 pub use render::{render_html, render_json, render_text};
 pub use service::{

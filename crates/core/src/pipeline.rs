@@ -11,7 +11,11 @@
 //!    computes the shared intermediates exactly once: the ranking induced by
 //!    the Recipe, the min-max-normalized score matrix of the scoring
 //!    attributes (in rank order, for the Stability widget), and the
-//!    protected-group membership vectors (for the Fairness widget).
+//!    protected-group membership vectors (for the Fairness widget).  They
+//!    depend on the table and the recipe only, so they live in a
+//!    [`PreparedAnalysis`] that later labels of the same table and recipe
+//!    share by `Arc` — together with Ingredients' `k`-independent core,
+//!    which the first label that renders Ingredients computes.
 //!    Preparation runs on the calling thread under either schedule: sharding
 //!    row scoring over the pool bought no measurable latency at any table
 //!    size, so there is one preparation path.
@@ -30,7 +34,9 @@
 //! Because preparation does not depend on the audited prefix size,
 //! [`AnalysisPipeline::generate_sweep`] amortizes one preparation across a
 //! whole sweep of `k` values — the ranking is computed once and re-rendered
-//! per `k`.
+//! per `k` through [`AnalysisContext::with_config`].  The label service's
+//! cold misses take the same path across requests: it keeps each live
+//! table's last [`PreparedAnalysis`] (see [`crate::service`]).
 //!
 //! Both schedules consume identical inputs in identical order, so their
 //! outputs are byte-identical after JSON rendering — asserted by
@@ -41,7 +47,7 @@ use crate::error::{LabelError, LabelResult};
 use crate::label::{NutritionalLabel, RankedRow};
 use crate::widgets::diversity::DiversityWidget;
 use crate::widgets::fairness::FairnessWidget;
-use crate::widgets::ingredients::IngredientsWidget;
+use crate::widgets::ingredients::{IngredientsCore, IngredientsWidget};
 use crate::widgets::recipe::RecipeWidget;
 use crate::widgets::stability::StabilityWidget;
 use rf_fairness::report::{FairnessConfig, FairnessReport};
@@ -51,7 +57,7 @@ use rf_fairness::{
 use rf_ranking::Ranking;
 use rf_table::Table;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A point-in-time snapshot of one label service's Monte-Carlo stability
 /// counters, exposed through `ServiceStats` and the HTTP `/stats` endpoint
@@ -124,17 +130,21 @@ impl ServiceMetrics {
     }
 }
 
-/// The shared, immutable state every widget builder reads.
+/// What a table and a recipe alone determine: the ranking, the protected
+/// groups, the normalized score matrix and, once a label has rendered
+/// Ingredients, that widget's `k`-independent core.
 ///
-/// Prepared once per label: widgets never touch the raw table for anything
-/// the context already derived.
-#[derive(Debug, Clone)]
-pub struct AnalysisContext {
-    /// The dataset being labelled.
-    pub table: Arc<Table>,
-    /// The label configuration.
-    pub config: Arc<LabelConfig>,
-    /// The full ranking induced by the Recipe — computed once.
+/// Every label of the same table and recipe shares one of these by `Arc`,
+/// whatever its `k`, `alpha`, thresholds, ingredient settings or
+/// Monte-Carlo settings: [`AnalysisContext::with_config`] and the label
+/// service's cold misses reuse it instead of preparing again.  It holds no
+/// reference to the table it was prepared from.
+#[derive(Debug)]
+pub struct PreparedAnalysis {
+    /// The configuration it was prepared under; only its recipe — the
+    /// scoring function and the sensitive attributes — is read.
+    prepared_for: Arc<LabelConfig>,
+    /// The full ranking induced by the Recipe.
     pub ranking: Ranking,
     /// Protected-group membership vectors, one per audited
     /// `(attribute, protected value)` pair, in configuration order.
@@ -142,6 +152,53 @@ pub struct AnalysisContext {
     /// Min-max-normalized values of every scoring attribute in rank order
     /// (the Stability widget's input matrix).
     pub normalized_scoring: Vec<(String, Vec<f64>)>,
+    /// Ingredients' `k`-independent core, computed by the first label that
+    /// renders the widget.
+    ingredients: OnceLock<LabelResult<IngredientsCore>>,
+}
+
+impl PreparedAnalysis {
+    /// Whether labels under `config` may share this state: its recipe equals
+    /// the one this was prepared under bit for bit, so a `-0.0` weight never
+    /// matches a `0.0` one.
+    pub(crate) fn serves(&self, config: &LabelConfig) -> bool {
+        let (ours, theirs) = (&self.prepared_for.scoring, &config.scoring);
+        ours == theirs
+            && ours
+                .weights()
+                .iter()
+                .zip(theirs.weights())
+                .all(|(a, b)| a.weight.to_bits() == b.weight.to_bits())
+            && self.prepared_for.sensitive_attributes == config.sensitive_attributes
+    }
+}
+
+/// The state every widget builder of one label reads: the label's table and
+/// configuration, and the [`PreparedAnalysis`] of its table and recipe,
+/// which the context dereferences to (`ctx.ranking`).
+///
+/// Widgets never touch the raw table for anything the prepared analysis
+/// already derived.  Cloning a context, or deriving one for another
+/// configuration with [`with_config`](Self::with_config), copies three
+/// `Arc`s and nothing of the table's size.
+#[derive(Debug, Clone)]
+pub struct AnalysisContext {
+    /// The dataset being labelled.
+    pub table: Arc<Table>,
+    /// The label configuration.
+    pub config: Arc<LabelConfig>,
+    /// The analysis the table and recipe determine, shared by every label
+    /// of them.  Private to the crate, so a context can only pair it with
+    /// the table it was prepared from.
+    pub(crate) prepared: Arc<PreparedAnalysis>,
+}
+
+impl std::ops::Deref for AnalysisContext {
+    type Target = PreparedAnalysis;
+
+    fn deref(&self) -> &PreparedAnalysis {
+        &self.prepared
+    }
 }
 
 impl AnalysisContext {
@@ -164,49 +221,59 @@ impl AnalysisContext {
         }
         let normalized_scoring =
             rf_stability::normalized_values_in_rank_order(&table, &config.scoring, &ranking)?;
-        Ok(AnalysisContext {
-            table,
-            config,
+        let prepared = Arc::new(PreparedAnalysis {
+            prepared_for: Arc::clone(&config),
             ranking,
             protected_groups,
             normalized_scoring,
+            ingredients: OnceLock::new(),
+        });
+        Ok(AnalysisContext {
+            table,
+            config,
+            prepared,
         })
     }
 
-    /// A context for the same table reusing every prepared intermediate under
-    /// a different configuration.
+    /// A context for the same table sharing its prepared analysis under a
+    /// different configuration, after validating it.
     ///
-    /// The shared intermediates depend only on the scoring function and the
+    /// The prepared analysis depends only on the scoring function and the
     /// sensitive attributes, so `config` must agree with the original on
-    /// those; everything else (`top_k`, `alpha`, thresholds, ingredient
-    /// settings, dataset name) may differ.  This is what lets
-    /// [`AnalysisPipeline::generate_sweep`] rank once and render per `k`.
+    /// those, bit for bit; everything else (`top_k`, `alpha`, thresholds,
+    /// ingredient settings, Monte-Carlo settings, dataset name) may differ.
+    /// This is what lets [`AnalysisPipeline::generate_sweep`] rank once and
+    /// render per `k`.
     ///
     /// # Errors
     /// [`LabelError::InvalidConfig`] when `config` changes the scoring
     /// function or the sensitive attributes — rendering those against the
-    /// old intermediates would produce a self-inconsistent label.
+    /// old intermediates would produce a self-inconsistent label — and
+    /// `config`'s own validation errors.
     pub fn with_config(&self, config: Arc<LabelConfig>) -> LabelResult<Self> {
-        if self.config.scoring != config.scoring {
+        Self::reuse(Arc::clone(&self.table), config, Arc::clone(&self.prepared))
+    }
+
+    /// A context over `prepared`, which must have been prepared from this
+    /// very `table` allocation: the path every reused preparation takes.
+    fn reuse(
+        table: Arc<Table>,
+        config: Arc<LabelConfig>,
+        prepared: Arc<PreparedAnalysis>,
+    ) -> LabelResult<Self> {
+        if !prepared.serves(&config) {
             return Err(LabelError::InvalidConfig {
-                message: "with_config requires an identical scoring function; \
+                message: "a prepared analysis is only shared under an identical \
+                          scoring function and identical sensitive attributes; \
                           a new recipe needs a fresh preparation"
                     .to_string(),
             });
         }
-        if self.config.sensitive_attributes != config.sensitive_attributes {
-            return Err(LabelError::InvalidConfig {
-                message: "with_config requires identical sensitive attributes; \
-                          new protected features need a fresh preparation"
-                    .to_string(),
-            });
-        }
+        config.validate(&table)?;
         Ok(AnalysisContext {
-            table: Arc::clone(&self.table),
+            table,
             config,
-            ranking: self.ranking.clone(),
-            protected_groups: self.protected_groups.clone(),
-            normalized_scoring: self.normalized_scoring.clone(),
+            prepared,
         })
     }
 
@@ -214,6 +281,16 @@ impl AnalysisContext {
     #[must_use]
     pub fn top_k(&self) -> usize {
         self.config.top_k
+    }
+
+    /// Ingredients' `k`-independent core for this table and recipe, computed
+    /// on first use and shared by every later label of them.
+    fn ingredients_core(&self) -> LabelResult<&IngredientsCore> {
+        self.prepared
+            .ingredients
+            .get_or_init(|| IngredientsCore::compute(&self.table, &self.prepared.ranking))
+            .as_ref()
+            .map_err(Clone::clone)
     }
 }
 
@@ -293,7 +370,8 @@ impl WidgetBuilder for IngredientsBuilder {
 
     fn build(&self, ctx: &AnalysisContext) -> LabelResult<WidgetOutput> {
         let recipe_attribute_names: Vec<&str> = ctx.config.scoring.attribute_names();
-        IngredientsWidget::build_with_method(
+        IngredientsWidget::from_core(
+            ctx.ingredients_core()?,
             &ctx.table,
             &ctx.ranking,
             &recipe_attribute_names,
@@ -593,9 +671,28 @@ impl AnalysisPipeline {
         table: Arc<Table>,
         config: Arc<LabelConfig>,
     ) -> LabelResult<Arc<AnalysisContext>> {
-        self.metrics.preparations.fetch_add(1, Ordering::Relaxed);
+        self.prepare_reusing(table, config, None)
+    }
+
+    /// Stage 1 with a prepared analysis to share: `Some(prepared)` — which
+    /// must come from this very `table` allocation and serve `config`'s
+    /// recipe — only validates `config`; `None` prepares from scratch and
+    /// is the only case [`preparations`](Self::preparations) counts.  Both
+    /// are timed as the `prepare` stage.
+    pub(crate) fn prepare_reusing(
+        &self,
+        table: Arc<Table>,
+        config: Arc<LabelConfig>,
+        prepared: Option<Arc<PreparedAnalysis>>,
+    ) -> LabelResult<Arc<AnalysisContext>> {
         let started = std::time::Instant::now();
-        let ctx = AnalysisContext::prepare(table, config)?;
+        let ctx = match prepared {
+            Some(prepared) => AnalysisContext::reuse(table, config, prepared)?,
+            None => {
+                self.metrics.preparations.fetch_add(1, Ordering::Relaxed);
+                AnalysisContext::prepare(table, config)?
+            }
+        };
         self.metrics
             .record(rf_obs::Stage::Prepare, started.elapsed());
         Ok(Arc::new(ctx))
@@ -995,6 +1092,39 @@ mod tests {
         let bad = Arc::new((*config).clone().with_sensitive_attribute("Group", ["a"]));
         assert!(matches!(
             ctx.with_config(bad),
+            Err(LabelError::InvalidConfig { .. })
+        ));
+    }
+
+    #[test]
+    fn with_config_shares_the_prepared_analysis_bit_for_bit() {
+        let (table, config) = scenario();
+        let pipeline = AnalysisPipeline::sequential();
+        let ctx = pipeline
+            .prepare(Arc::clone(&table), Arc::clone(&config))
+            .unwrap();
+        let relabel = Arc::new((*config).clone().with_top_k(5).with_alpha(0.05));
+        let shared = Arc::new(ctx.with_config(Arc::clone(&relabel)).unwrap());
+        assert!(Arc::ptr_eq(&ctx.prepared, &shared.prepared));
+        // Rendering fills the Ingredients core once, for both contexts, and
+        // the shared label equals an independent generation.
+        pipeline.render(&ctx).unwrap();
+        assert!(ctx.prepared.ingredients.get().is_some());
+        let label = pipeline.render(&shared).unwrap();
+        assert_eq!(label, pipeline.generate(table, relabel).unwrap());
+        // A `-0.0` weight is a different recipe than `0.0`.
+        let zero = |weight: f64| {
+            let scoring =
+                ScoringFunction::from_pairs([("Quality", 0.8), ("Minor", weight)]).unwrap();
+            Arc::new(LabelConfig {
+                scoring,
+                ..(*config).clone()
+            })
+        };
+        let ctx = AnalysisContext::prepare(Arc::clone(&ctx.table), zero(0.0)).unwrap();
+        assert!(ctx.with_config(zero(0.0)).is_ok());
+        assert!(matches!(
+            ctx.with_config(zero(-0.0)),
             Err(LabelError::InvalidConfig { .. })
         ));
     }

@@ -9,13 +9,23 @@
 //! 2. answers warm requests from the bounded LRU [`LabelCache`] with **zero**
 //!    analysis work (no context preparation — asserted by the cache-parity
 //!    tests via [`ServiceStats::preparations`]),
-//! 3. on a miss, generates through the pipeline, renders the JSON once, and
-//!    caches both, and
+//! 3. on a miss, probes the disk tier when one is attached, then prepares —
+//!    or, when the same table allocation's last cold label had a bit-equal
+//!    recipe (scoring function and sensitive attributes), only validates the
+//!    configuration and shares that label's ranking, protected groups,
+//!    normalized matrix and Ingredients core — renders, serializes the JSON
+//!    once, and caches both, and
 //! 4. coalesces concurrent misses for the same key (**single-flight**): the
 //!    first request leads the generation, later arrivals wait on its
 //!    in-flight slot and share the result — a cold-key load spike performs
 //!    one preparation instead of N.  Only observable now that the
 //!    event-driven server actually holds many concurrent requests.
+//!
+//! So [`ServiceStats::preparations`] counts distinct `(table, recipe)`
+//! preparations, not cold labels: relabelling a catalogue table at a new
+//! `k`, `alpha` or Monte-Carlo seed prepares nothing.  The prepared state is
+//! kept per live table (one recipe each, the last) and dies with its table;
+//! [`LabelService::clear_cache`] drops it together with the labels.
 //!
 //! The service is `Sync`; one instance is shared across worker threads by
 //! `Arc` (the server does exactly that), with the cache behind a mutex held
@@ -28,7 +38,7 @@
 use crate::cache::{CacheKey, CacheStats, CachedLabel, LabelCache};
 use crate::config::LabelConfig;
 use crate::error::{LabelError, LabelResult};
-use crate::pipeline::{AnalysisPipeline, ServiceMetrics};
+use crate::pipeline::{AnalysisPipeline, PreparedAnalysis, ServiceMetrics};
 use rf_table::Table;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -141,41 +151,92 @@ pub struct ReactorCounters {
     pub shed_requests: u64,
 }
 
-/// Memoizes table fingerprints by `Arc` identity, so long-lived shared
-/// tables (the server's catalog) are hashed once instead of once per
-/// request — fingerprinting is linear in the table, and it sits on the warm
-/// hit path.
+/// Per-table state memoized by `Arc` identity, one entry per live table:
 ///
-/// Entries hold `Weak` references: a memoized fingerprint is only reused
-/// when the weak pointer upgrades to the *same allocation* as the request's
-/// `Arc`, so a recycled address can never serve a stale hash.  `Table` has
+/// - the table's content fingerprint, so long-lived shared tables (the
+///   server's catalog) are hashed once instead of once per request —
+///   fingerprinting is linear in the table, and it sits on the warm hit
+///   path;
+/// - the [`PreparedAnalysis`] of the table's last cold label, so a cold
+///   label of the same table and recipe (a new `k`, `alpha` or Monte-Carlo
+///   seed) renders from it instead of preparing again.
+///
+/// Entries hold `Weak` references: an entry is only reused when the weak
+/// pointer upgrades to the *same allocation* as the request's `Arc`, so a
+/// recycled address can never serve a stale hash or analysis.  `Table` has
 /// no interior mutability, so an alive shared allocation cannot have
-/// changed.  Fresh allocations (per-request uploads) simply miss and hash.
+/// changed.  Nothing in an entry holds the table alive, and dead entries are
+/// pruned on every insert and on [`LabelService::clear_cache`], so the
+/// memo's footprint follows the tables that callers (and the label cache)
+/// keep.  Fresh allocations (per-request uploads) simply miss and hash.
 #[derive(Debug, Default)]
-struct FingerprintMemo {
-    entries: HashMap<usize, (Weak<Table>, u64)>,
+struct TableMemo {
+    entries: HashMap<usize, TableEntry>,
 }
 
-/// Dead weak entries are pruned once the memo grows past this.
-const FINGERPRINT_MEMO_PRUNE_AT: usize = 64;
+#[derive(Debug)]
+struct TableEntry {
+    table: Weak<Table>,
+    fingerprint: u64,
+    /// What the table's last cold label prepared, if any.
+    prepared: Option<Arc<PreparedAnalysis>>,
+}
 
-impl FingerprintMemo {
+impl TableMemo {
+    /// The entry of exactly this allocation, if it has one.
+    fn entry_mut(&mut self, table: &Arc<Table>) -> Option<&mut TableEntry> {
+        let entry = self.entries.get_mut(&(Arc::as_ptr(table) as usize))?;
+        let alive = entry.table.upgrade()?;
+        Arc::ptr_eq(&alive, table).then_some(entry)
+    }
+
     fn fingerprint(&mut self, table: &Arc<Table>) -> u64 {
-        let address = Arc::as_ptr(table) as usize;
-        if let Some((weak, fingerprint)) = self.entries.get(&address) {
-            if let Some(alive) = weak.upgrade() {
-                if Arc::ptr_eq(&alive, table) {
-                    return *fingerprint;
-                }
-            }
+        if let Some(entry) = self.entry_mut(table) {
+            return entry.fingerprint;
         }
         let fingerprint = table.fingerprint();
-        if self.entries.len() >= FINGERPRINT_MEMO_PRUNE_AT {
-            self.entries.retain(|_, (weak, _)| weak.strong_count() > 0);
-        }
-        self.entries
-            .insert(address, (Arc::downgrade(table), fingerprint));
+        self.prune();
+        self.entries.insert(
+            Arc::as_ptr(table) as usize,
+            TableEntry {
+                table: Arc::downgrade(table),
+                fingerprint,
+                prepared: None,
+            },
+        );
         fingerprint
+    }
+
+    /// The table's prepared analysis, when it serves `config`'s recipe.
+    fn prepared(
+        &mut self,
+        table: &Arc<Table>,
+        config: &LabelConfig,
+    ) -> Option<Arc<PreparedAnalysis>> {
+        let prepared = self.entry_mut(table)?.prepared.as_ref()?;
+        prepared.serves(config).then(|| Arc::clone(prepared))
+    }
+
+    /// Keeps `prepared` as the table's analysis, replacing its last one.
+    fn keep(&mut self, table: &Arc<Table>, prepared: &Arc<PreparedAnalysis>) {
+        if let Some(entry) = self.entry_mut(table) {
+            entry.prepared = Some(Arc::clone(prepared));
+        }
+    }
+
+    /// Drops the entries of tables nobody holds any more.
+    fn prune(&mut self) {
+        self.entries
+            .retain(|_, entry| entry.table.strong_count() > 0);
+    }
+
+    /// Prunes, then drops every live table's prepared analysis (its
+    /// fingerprint stays: it is a function of the bytes alone).
+    fn forget_prepared(&mut self) {
+        self.prune();
+        for entry in self.entries.values_mut() {
+            entry.prepared = None;
+        }
     }
 }
 
@@ -255,7 +316,8 @@ impl Drop for InflightGuard<'_> {
 pub struct LabelService {
     pipeline: AnalysisPipeline,
     cache: Mutex<LabelCache>,
-    fingerprints: Mutex<FingerprintMemo>,
+    /// Each live table's fingerprint and last prepared analysis.
+    tables: Mutex<TableMemo>,
     /// Per-key single-flight slots for generations currently running.
     inflight: Mutex<HashMap<CacheKey, Arc<Inflight>>>,
     /// How many requests joined an in-flight generation.
@@ -275,7 +337,7 @@ impl LabelService {
         LabelService {
             pipeline,
             cache: Mutex::new(LabelCache::new(capacity, max_bytes)),
-            fingerprints: Mutex::new(FingerprintMemo::default()),
+            tables: Mutex::new(TableMemo::default()),
             inflight: Mutex::new(HashMap::new()),
             coalesced: AtomicU64::new(0),
             disk: None,
@@ -317,9 +379,9 @@ impl LabelService {
 
     /// The table's content fingerprint, memoized by `Arc` identity.
     fn table_fingerprint(&self, table: &Arc<Table>) -> u64 {
-        self.fingerprints
+        self.tables
             .lock()
-            .expect("fingerprint memo lock")
+            .expect("table memo lock")
             .fingerprint(table)
     }
 
@@ -429,9 +491,21 @@ impl LabelService {
         if let Some(hit) = self.disk_lookup(key, table, config) {
             return Ok(hit);
         }
-        let label = self
+        // A cold label of a table and recipe this service already prepared
+        // shares that analysis; only `config`'s validation runs again.
+        let reusable = self
+            .tables
+            .lock()
+            .expect("table memo lock")
+            .prepared(table, config);
+        let ctx = self
             .pipeline
-            .generate(Arc::clone(table), Arc::clone(config))?;
+            .prepare_reusing(Arc::clone(table), Arc::clone(config), reusable)?;
+        self.tables
+            .lock()
+            .expect("table memo lock")
+            .keep(table, &ctx.prepared);
+        let label = self.pipeline.render(&ctx)?;
         let cached = CachedLabel {
             json: Arc::new(label.to_json()?),
             label: Arc::new(label),
@@ -554,17 +628,25 @@ impl LabelService {
         }
     }
 
-    /// Drops every cached label (counters keep their history).
+    /// Drops every cached label and every prepared analysis (counters keep
+    /// their history): the next label of any table is computed from
+    /// scratch.
     ///
     /// This is the invalidation hook for mutable-catalog deployments: the
     /// server calls it whenever a dataset is uploaded into its catalogue, so
     /// a re-uploaded dataset name can never serve a label rendered from the
-    /// old bytes through a stale catalogue path.  In-flight generations are
-    /// unaffected — they publish to their own waiters and (re-)insert their
-    /// result, which is still correct for the exact bytes they were keyed
-    /// on (the cache is content-addressed).
+    /// old bytes through a stale catalogue path.  Once the cache lets go of
+    /// a replaced table, the memo drops its entry too.  In-flight
+    /// generations are unaffected — they publish to their own waiters and
+    /// (re-)insert their result, which is still correct for the exact bytes
+    /// they were keyed on (the cache is content-addressed, the memo keyed by
+    /// allocation).
     pub fn clear_cache(&self) {
         self.cache.lock().expect("label cache lock").clear();
+        self.tables
+            .lock()
+            .expect("table memo lock")
+            .forget_prepared();
         // The disk tier is purged too — and `DiskStore::clear` first drains
         // its write-behind queue, so an upload can never race a queued fill
         // into surviving the invalidation.
@@ -630,6 +712,51 @@ mod tests {
         assert_eq!(stats.cache.hits, 1);
         assert_eq!(stats.cache.misses, 1);
         assert_eq!(stats.preparations, 1, "the warm hit prepared nothing");
+    }
+
+    #[test]
+    fn prepared_state_dies_with_its_table() {
+        let (table, config) = scenario();
+        let service = pooled_service();
+        // A catalogue as the server keeps one: the only long-lived `Arc`.
+        let mut catalogue = HashMap::from([("data", table)]);
+        let first = service.label(&catalogue["data"], &config).unwrap();
+        let old_table = Arc::downgrade(&catalogue["data"]);
+        let old_prepared = {
+            let tables = service.tables.lock().unwrap();
+            let entry = tables.entries.values().next().expect("one memo entry");
+            Arc::downgrade(entry.prepared.as_ref().expect("prepared state kept"))
+        };
+        // Upload new bytes under the same name: replace the catalogue entry,
+        // then invalidate, as the server does.
+        let mut uploaded = catalogue["data"].select(&["name", "grp"]).unwrap();
+        let n = uploaded.num_rows();
+        uploaded
+            .add_column(
+                "score",
+                Column::from_f64((0..n).map(|i| (i * 7 % n) as f64).collect()),
+            )
+            .unwrap();
+        catalogue.insert("data", Arc::new(uploaded));
+        service.clear_cache();
+        assert!(
+            old_table.upgrade().is_none(),
+            "nothing in the service keeps the replaced table alive"
+        );
+        assert!(
+            old_prepared.upgrade().is_none(),
+            "nor the analysis prepared from it"
+        );
+        assert!(service.tables.lock().unwrap().entries.is_empty());
+        // The re-uploaded table labels from its new bytes.
+        let relabelled = service.label(&catalogue["data"], &config).unwrap();
+        let expected = AnalysisPipeline::sequential()
+            .generate(Arc::clone(&catalogue["data"]), Arc::clone(&config))
+            .unwrap();
+        assert_eq!(*relabelled.json, expected.to_json().unwrap());
+        assert_ne!(relabelled.json, first.json);
+        assert_eq!(service.stats().preparations, 2);
+        assert_eq!(service.tables.lock().unwrap().entries.len(), 1);
     }
 
     #[test]

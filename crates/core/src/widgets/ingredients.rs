@@ -19,18 +19,22 @@
 //! ## Cost
 //!
 //! Near-linear in the table, with one sort per numeric attribute and none
-//! for the scores.  The scores' tie-averaged ranks are read off the
-//! ranking's order once per label ([`rf_stats::tie_averaged_ranks`]).  Each
-//! attribute is read in place, mean-imputed, and sorted once
-//! ([`rf_ranking::sort_descending`]); that one order
-//! gives both its Spearman ranks and the top-`depth` prefix the rank-aware
-//! association compares with the ranking.  The standardization looks each
-//! column's parameters up once, the regression refills one design-row
-//! buffer, and the details ([`AttributeDetail`]) select their medians
-//! instead of sorting.  Every value is bit-identical to ranking, sorting and
-//! summarizing each column from scratch.
+//! for the scores.  Most of the work depends only on the table and the
+//! ranking, not on `k`, so it is split out as an `IngredientsCore` that
+//! every label of one table and recipe shares (the label service keeps it
+//! with the prepared ranking).  The core reads the scores' tie-averaged
+//! ranks off the ranking's order ([`rf_stats::tie_averaged_ranks`]), reads
+//! each attribute in place, mean-imputes and sorts it once
+//! ([`rf_ranking::sort_descending`]) — that one order gives its Spearman
+//! ranks and, kept as `u32` rows, the prefix the rank-aware association
+//! compares with the ranking — and fits the z-scored regression, refilling
+//! one design-row buffer.  Per label there remain the top-`k` rank-aware
+//! association of each attribute and the details ([`AttributeDetail`]) of
+//! the listed ingredients, which select their medians instead of sorting.
+//! Every value is bit-identical to ranking, sorting and summarizing each
+//! column from scratch.
 
-use crate::error::LabelResult;
+use crate::error::{LabelError, LabelResult};
 use crate::widgets::recipe::AttributeDetail;
 use rf_ranking::{rank_aware_association_of_order, sort_descending, Ranking};
 use rf_stats::{spearman_with_ranks, tie_averaged_ranks, MultipleRegression};
@@ -103,6 +107,113 @@ pub struct IngredientsWidget {
     pub method: IngredientsMethod,
 }
 
+/// The part of the Ingredients widget that the table and the ranking alone
+/// decide, so every label of one table and recipe can share it: each usable
+/// numeric attribute's order, signed Spearman ρ and learned weight, and the
+/// regression's R².  Nothing in it reads `k`, the ingredient count or the
+/// method.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct IngredientsCore {
+    /// Usable numeric attributes, in schema order.
+    attributes: Vec<CoreAttribute>,
+    /// R² of the z-scored regression of the score on every usable attribute
+    /// (None when it could not be fitted).
+    model_r_squared: Option<f64>,
+}
+
+/// One usable numeric attribute of an [`IngredientsCore`].
+#[derive(Debug, Clone, PartialEq)]
+struct CoreAttribute {
+    name: String,
+    /// Rows best first by the mean-imputed values: the ranking the attribute
+    /// alone would induce.
+    order: Vec<u32>,
+    /// Spearman ρ between the attribute and the score.
+    signed_association: f64,
+    /// The attribute's coefficient in the regression.
+    learned_weight: Option<f64>,
+}
+
+impl IngredientsCore {
+    /// Sorts, correlates and regresses every usable numeric attribute of
+    /// `table` against the scores of `ranking`.
+    ///
+    /// # Errors
+    /// Propagates table/statistics errors for candidate numeric attributes.
+    pub(crate) fn compute(table: &Table, ranking: &Ranking) -> LabelResult<Self> {
+        // Orders are kept as `u32` rows.
+        if u32::try_from(table.num_rows()).is_err() {
+            return Err(LabelError::InvalidConfig {
+                message: format!("the Ingredients widget ranks at most {} rows", u32::MAX),
+            });
+        }
+        let scores = ranking.score_vector();
+        // The scores' ranks: the ranking already holds the scores in
+        // descending order.
+        let score_ranks = tie_averaged_ranks(
+            ranking.items(),
+            |item| item.index,
+            |a, b| a.score == b.score,
+        );
+
+        // Rank association per attribute (skip attributes that are all
+        // missing: they cannot explain the outcome).
+        let numeric_names = table.schema().numeric_names();
+        let mut attributes = Vec::with_capacity(numeric_names.len());
+        let mut usable: Vec<(&str, Vec<f64>)> = Vec::new();
+        for name in numeric_names {
+            let values = table.numeric_view(name)?;
+            // Mean-impute missing values for the association estimate.
+            let present = values.iter().flatten().count();
+            if present == 0 {
+                continue;
+            }
+            let mean = values.iter().flatten().sum::<f64>() / present as f64;
+            let filled: Vec<f64> = values.iter().map(|v| v.unwrap_or(mean)).collect();
+            // The attribute's one sort: its rows best first, which gives its
+            // Spearman ranks and the ranking it alone would induce.
+            let order = sort_descending(&filled);
+            let ranks = tie_averaged_ranks(&order, |&row| row, |&a, &b| filled[a] == filled[b]);
+            let signed = match spearman_with_ranks(&filled, &scores, &ranks, &score_ranks) {
+                Ok(rho) => rho,
+                Err(rf_stats::StatsError::ZeroVariance { .. }) => 0.0,
+                Err(err) => return Err(err.into()),
+            };
+            attributes.push(CoreAttribute {
+                name: name.to_string(),
+                order: order.into_iter().map(|row| row as u32).collect(),
+                signed_association: signed,
+                learned_weight: None,
+            });
+            usable.push((name, filled));
+        }
+
+        // Learned weights: regress the score on all standardized usable
+        // attributes (one per entry of `attributes`, in the same order).
+        let mut model_r_squared = None;
+        if !usable.is_empty() {
+            let names: Vec<&str> = usable.iter().map(|(n, _)| *n).collect();
+            if let Ok(normalizer) = Normalizer::fit(table, &names, NormalizationMethod::ZScore) {
+                let mut design: Vec<Vec<f64>> = Vec::with_capacity(usable.len());
+                for (name, filled) in &usable {
+                    let transform = normalizer.column_transform(name)?;
+                    design.push(filled.iter().map(|&v| transform(v)).collect());
+                }
+                if let Ok(fit) = MultipleRegression::fit(&design, &scores) {
+                    model_r_squared = Some(fit.r_squared);
+                    for (attribute, coeff) in attributes.iter_mut().zip(fit.coefficients.iter()) {
+                        attribute.learned_weight = Some(*coeff);
+                    }
+                }
+            }
+        }
+        Ok(IngredientsCore {
+            attributes,
+            model_r_squared,
+        })
+    }
+}
+
 impl IngredientsWidget {
     /// Builds the Ingredients widget with the default
     /// [`IngredientsMethod::LinearAssociation`] ordering.
@@ -130,7 +241,9 @@ impl IngredientsWidget {
         )
     }
 
-    /// Builds the Ingredients widget, ordering attributes by `method`.
+    /// Builds the Ingredients widget, ordering attributes by `method`: the
+    /// table's `k`-independent core under this ranking, then the per-label
+    /// part.
     ///
     /// # Errors
     /// Propagates table/statistics errors for candidate numeric attributes.
@@ -142,72 +255,43 @@ impl IngredientsWidget {
         count: usize,
         method: IngredientsMethod,
     ) -> LabelResult<Self> {
-        let scores = ranking.score_vector();
-        // The scores' ranks, once per label: the ranking already holds the
-        // scores in descending order.
-        let score_ranks = tie_averaged_ranks(
-            ranking.items(),
-            |item| item.index,
-            |a, b| a.score == b.score,
-        );
-        let depth = k.clamp(1, ranking.len());
+        let core = IngredientsCore::compute(table, ranking)?;
+        Self::from_core(&core, table, ranking, recipe_attributes, k, count, method)
+    }
 
-        // Rank association per attribute (skip attributes that are constant or
-        // all-missing: they cannot explain the outcome).
-        let numeric_names = table.schema().numeric_names();
-        let mut all_attributes = Vec::with_capacity(numeric_names.len());
-        let mut usable: Vec<(&str, Vec<f64>)> = Vec::new();
-        for name in numeric_names {
-            let values = table.numeric_view(name)?;
-            // Mean-impute missing values for the association estimate.
-            let present = values.iter().flatten().count();
-            if present == 0 {
-                continue;
-            }
-            let mean = values.iter().flatten().sum::<f64>() / present as f64;
-            let filled: Vec<f64> = values.iter().map(|v| v.unwrap_or(mean)).collect();
-            // The attribute's one sort: its rows best first, which gives its
-            // Spearman ranks and the ranking it alone would induce.
-            let order = sort_descending(&filled);
-            let ranks = tie_averaged_ranks(&order, |&row| row, |&a, &b| filled[a] == filled[b]);
-            let signed = match spearman_with_ranks(&filled, &scores, &ranks, &score_ranks) {
-                Ok(rho) => rho,
-                Err(rf_stats::StatsError::ZeroVariance { .. }) => 0.0,
-                Err(err) => return Err(err.into()),
-            };
+    /// The per-label part of the widget: everything that reads `k`, the
+    /// ingredient count or the method.  `core` must have been computed from
+    /// this `table` and `ranking`.
+    ///
+    /// # Errors
+    /// Propagates table/statistics errors for the listed ingredients.
+    pub(crate) fn from_core(
+        core: &IngredientsCore,
+        table: &Table,
+        ranking: &Ranking,
+        recipe_attributes: &[&str],
+        k: usize,
+        count: usize,
+        method: IngredientsMethod,
+    ) -> LabelResult<Self> {
+        let depth = k.clamp(1, ranking.len());
+        let mut all_attributes = Vec::with_capacity(core.attributes.len());
+        for attribute in &core.attributes {
             // Rank-aware (top-weighted) agreement between the ranking this
             // attribute alone would produce and the observed ranking.
-            let top_weighted =
-                rank_aware_association_of_order(ranking, order.iter().copied(), depth)?;
+            let top_weighted = rank_aware_association_of_order(
+                ranking,
+                attribute.order.iter().map(|&row| row as usize),
+                depth,
+            )?;
             all_attributes.push(Ingredient {
-                attribute: name.to_string(),
-                rank_association: signed.abs(),
-                signed_association: signed,
+                attribute: attribute.name.clone(),
+                rank_association: attribute.signed_association.abs(),
+                signed_association: attribute.signed_association,
                 top_weighted_association: top_weighted,
-                learned_weight: None,
-                in_recipe: recipe_attributes.contains(&name),
+                learned_weight: attribute.learned_weight,
+                in_recipe: recipe_attributes.contains(&attribute.name.as_str()),
             });
-            usable.push((name, filled));
-        }
-
-        // Learned weights: regress the score on all standardized usable
-        // attributes (one per entry of `all_attributes`, in the same order).
-        let mut model_r_squared = None;
-        if !usable.is_empty() {
-            let names: Vec<&str> = usable.iter().map(|(n, _)| *n).collect();
-            if let Ok(normalizer) = Normalizer::fit(table, &names, NormalizationMethod::ZScore) {
-                let mut design: Vec<Vec<f64>> = Vec::with_capacity(usable.len());
-                for (name, filled) in &usable {
-                    let transform = normalizer.column_transform(name)?;
-                    design.push(filled.iter().map(|&v| transform(v)).collect());
-                }
-                if let Ok(fit) = MultipleRegression::fit(&design, &scores) {
-                    model_r_squared = Some(fit.r_squared);
-                    for (ing, coeff) in all_attributes.iter_mut().zip(fit.coefficients.iter()) {
-                        ing.learned_weight = Some(*coeff);
-                    }
-                }
-            }
         }
 
         // Sort by the selected association measure, strongest first.
@@ -239,7 +323,7 @@ impl IngredientsWidget {
             ingredients,
             all_attributes,
             details,
-            model_r_squared,
+            model_r_squared: core.model_r_squared,
             recipe_attributes_not_material,
             method,
         })

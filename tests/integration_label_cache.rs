@@ -4,6 +4,12 @@
 //! for any number of `k` values while remaining byte-identical to independent
 //! `generate` calls.
 //!
+//! Cold labels reuse what the table and recipe alone determine: a service
+//! relabelling a table at a new `k`, `alpha` or Monte-Carlo seed prepares
+//! nothing and serves the sequential reference's bytes, while a new recipe
+//! (a changed weight, `-0.0` for `0.0`, a changed sensitive attribute)
+//! prepares anew.
+//!
 //! The preparation counts are read from the service and the pipeline that
 //! did the work, so concurrently running tests cannot move them.
 //!
@@ -163,6 +169,86 @@ fn warm_hits_and_sweeps_reuse_one_preparation_on_all_scenarios() {
                 "{name}: sweep label for k={k} diverges from an independent generate"
             );
         }
+    }
+}
+
+/// The memo contract: one `LabelService` relabels every catalogue table
+/// (the three demo tables and a 2k synth scenario) at four `k`, two
+/// Monte-Carlo seeds and one `alpha` change.  Every body equals the
+/// sequential reference byte for byte, and `preparations` grows by one per
+/// distinct `(table, recipe)`: a new recipe prepares, a new `k`, seed or
+/// `alpha` does not.
+#[test]
+fn cold_labels_prepare_once_per_table_and_recipe() {
+    let catalog = rf_server::DatasetCatalog::with_demo_datasets();
+    let synth = catalog.register_synth_scenario(2_000);
+    let service = LabelService::with_pipeline(
+        AnalysisPipeline::with_pool(Arc::new(rf_runtime::ThreadPool::new(2))),
+        rf_core::service::DEFAULT_CACHE_CAPACITY,
+        rf_core::service::DEFAULT_CACHE_BYTES,
+    );
+    let mut preparations = 0;
+    // Labels `config` through the service (always a cold miss here) and
+    // checks the body against a fresh sequential generation; returns how
+    // many preparations it cost.
+    let mut label = |slug: &str, table: &Arc<Table>, config: LabelConfig| {
+        let config = Arc::new(config);
+        let served = service.label(table, &config).unwrap();
+        let expected = AnalysisPipeline::sequential()
+            .generate(Arc::clone(table), Arc::clone(&config))
+            .unwrap();
+        assert_eq!(
+            *served.json,
+            expected.to_json().unwrap(),
+            "{slug}: k={} seed={} alpha={}",
+            config.top_k,
+            config.monte_carlo.seed,
+            config.alpha
+        );
+        let now = service.stats().preparations;
+        let cost = now - preparations;
+        preparations = now;
+        cost
+    };
+
+    for slug in ["cs-departments", "compas", "german-credit", synth.as_str()] {
+        let entry = catalog.get(slug).unwrap();
+        let (table, base) = (entry.table, entry.config);
+        let mut cost = 0;
+        for k in [10, 37, 55, 97] {
+            let k = k.min(table.num_rows());
+            for seed in [11, 12] {
+                let config = base.clone().with_top_k(k).with_monte_carlo_seed(seed);
+                cost += label(slug, &table, config);
+            }
+        }
+        cost += label(slug, &table, base.clone().with_alpha(0.05));
+        assert_eq!(cost, 1, "{slug}: one preparation for 9 cold labels");
+    }
+
+    // New recipes on one table: each prepares once, then is reused.
+    let cs = catalog.get("cs-departments").unwrap();
+    let recipe = |gre: f64| {
+        let scoring =
+            ScoringFunction::from_pairs([("PubCount", 0.4), ("Faculty", 0.4), ("GRE", gre)])
+                .unwrap();
+        LabelConfig {
+            scoring,
+            ..cs.config.clone()
+        }
+    };
+    let mut audited_small = cs.config.clone();
+    audited_small.sensitive_attributes[0].protected_values = vec!["small".to_string()];
+    let variants = [
+        ("a changed weight", recipe(0.3)),
+        ("a zero weight", recipe(0.0)),
+        ("-0.0 in place of the 0.0 weight", recipe(-0.0)),
+        ("a changed sensitive attribute", audited_small),
+    ];
+    for (what, config) in variants {
+        let first = label(what, &cs.table, config.clone().with_monte_carlo_seed(21));
+        let again = label(what, &cs.table, config.with_monte_carlo_seed(22));
+        assert_eq!((first, again), (1, 0), "{what}: prepares anew, once");
     }
 }
 

@@ -10,7 +10,9 @@
 //!
 //! The second half drives the `LabelService` single-flight path end to end:
 //! a concurrent burst of identical cold requests must perform exactly one
-//! context preparation (counter-verified over `GET /stats`).  The two-shard
+//! generation (one Monte-Carlo run, counter-verified over `GET /stats`), and
+//! no preparation at all, because earlier labels already prepared the
+//! table's recipe.  The two-shard
 //! test also checks each shard's `/metrics` series across its rounds with
 //! the exposition checker of `rf_bench`.  Every test starts its own server,
 //! and each server counts only its own work, so the tests run in parallel
@@ -177,9 +179,11 @@ fn sixty_four_keep_alive_connections_on_a_two_worker_pool() {
     assert_eq!(body, *reference);
 
     // ── Single-flight: a concurrent burst of identical *cold* requests
-    // performs exactly one preparation. ──────────────────────────────────
+    // performs exactly one generation, and it reuses the analysis the
+    // earlier labels of this table and recipe prepared. ─────────────────
     let before = stats(addr);
     let preparations_before = before["preparations"].as_u64().expect("preparations");
+    let runs_before = before["monte_carlo"]["runs"].as_u64().expect("runs");
 
     let burst_path = "/datasets/cs-departments/label.json?k=6"; // never requested above
     let burst = 16usize;
@@ -204,11 +208,17 @@ fn sixty_four_keep_alive_connections_on_a_two_worker_pool() {
     }
 
     let after = stats(addr);
+    let runs_after = after["monte_carlo"]["runs"].as_u64().expect("runs");
+    assert_eq!(
+        runs_after - runs_before,
+        1,
+        "a burst of {burst} identical cold requests must generate exactly once \
+         (before: {before}, after: {after})"
+    );
     let preparations_after = after["preparations"].as_u64().expect("preparations");
     assert_eq!(
-        preparations_after - preparations_before,
-        1,
-        "a burst of {burst} identical cold requests must prepare exactly once \
+        preparations_after, preparations_before,
+        "the burst's table and recipe were already prepared \
          (before: {before}, after: {after})"
     );
     assert!(
