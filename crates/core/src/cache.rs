@@ -15,8 +15,14 @@
 //! verification, so they must count against the bound or uploads could pin
 //! unbounded memory behind a small-looking `bytes` figure.  (Catalog tables
 //! are `Arc`-shared across their entries, so charging each entry the full
-//! table over-counts them; the error is on the safe side.)  The held
-//! [`NutritionalLabel`] is not charged: it carries the top-k and the
+//! table over-counts them; the error is on the safe side.)  An entry the
+//! [`LabelService`](crate::LabelService) generated also keeps the
+//! [`PreparedAnalysis`] it was rendered from alive, so later cold labels of
+//! the same table and recipe can share it, and is charged that analysis's
+//! footprint too ([`PreparedAnalysis::approx_heap_bytes`]; entries sharing
+//! one analysis each pay for it in full, again on the safe side).  Nothing
+//! else holds an analysis alive between labels, so the bound covers all of
+//! it.  The held [`NutritionalLabel`] is not charged: it carries the top-k and the
 //! widgets, O(k + widgets) whatever the table's row count, and its JSON —
 //! which is charged — renders the same content.  Whichever bound
 //! is exceeded first evicts least-recently-used entries.  There is no time
@@ -32,6 +38,7 @@
 
 use crate::config::LabelConfig;
 use crate::label::NutritionalLabel;
+use crate::pipeline::PreparedAnalysis;
 use rf_table::Table;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -67,12 +74,11 @@ impl CacheKey {
 /// pays one JSON render to keep its cache entry complete; that render is a
 /// small fraction of the generation it accompanies.
 ///
-/// The byte bound charges an entry its JSON length plus its retained table.
-/// The label itself goes uncharged, which is sound because it is
-/// O(k + widgets): it holds the item count and the top-k rows, never the
-/// full O(n) ranking (that stays on the
-/// [`PreparedAnalysis`](crate::PreparedAnalysis), which the service's table
-/// memo keeps per live table).
+/// The byte bound charges an entry its JSON length plus its retained table
+/// (and analysis, when it keeps one).  The label itself goes uncharged,
+/// which is sound because it is O(k + widgets): it holds the item count and
+/// the top-k rows, never the full O(n) ranking (that stays on the
+/// [`PreparedAnalysis`], which is charged where an entry keeps it).
 #[derive(Debug, Clone)]
 pub struct CachedLabel {
     /// The assembled label.
@@ -92,7 +98,8 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Entries currently resident.
     pub entries: usize,
-    /// Bytes currently resident (rendered JSON plus retained table data).
+    /// Bytes currently resident (rendered JSON plus retained table and
+    /// analysis data).
     pub bytes: usize,
     /// Maximum resident entries.
     pub capacity: usize,
@@ -108,6 +115,10 @@ struct CacheEntry {
     /// tables are `Arc`-shared so this pins no extra memory; uploaded tables
     /// stay resident while cached.
     table: Arc<Table>,
+    /// The analysis the label was rendered from, held (never read here) so
+    /// later cold labels of the same table and recipe can share it (see the
+    /// module docs).
+    _analysis: Option<Arc<PreparedAnalysis>>,
     bytes: usize,
     last_used: u64,
 }
@@ -182,16 +193,39 @@ impl LabelCache {
     /// retains; one whose cost alone exceeds the byte bound is not cached
     /// (it would immediately evict everything else for nothing).
     pub fn insert(&mut self, key: CacheKey, table: Arc<Table>, value: CachedLabel) {
-        let bytes = value.json.len() + table.approx_heap_bytes();
+        self.insert_keeping(key, table, value, None);
+    }
+
+    /// [`insert`](Self::insert) that also keeps `analysis`, the prepared
+    /// analysis the label was rendered from, alive for as long as the entry
+    /// lives, and charges the entry for it.  An analysis that would not fit
+    /// the byte bound next to its label is dropped; the label is still
+    /// cached as by `insert`.
+    pub(crate) fn insert_keeping(
+        &mut self,
+        key: CacheKey,
+        table: Arc<Table>,
+        value: CachedLabel,
+        analysis: Option<Arc<PreparedAnalysis>>,
+    ) {
+        let mut bytes = value.json.len() + table.approx_heap_bytes();
         if bytes > self.max_bytes {
             return;
         }
+        let analysis = analysis.and_then(|analysis| {
+            let charged = bytes + analysis.approx_heap_bytes();
+            (charged <= self.max_bytes).then(|| {
+                bytes = charged;
+                analysis
+            })
+        });
         self.tick += 1;
         if let Some(previous) = self.entries.insert(
             key,
             CacheEntry {
                 value,
                 table,
+                _analysis: analysis,
                 bytes,
                 last_used: self.tick,
             },
@@ -235,7 +269,7 @@ impl LabelCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::AnalysisPipeline;
+    use crate::pipeline::{AnalysisContext, AnalysisPipeline};
     use rf_ranking::ScoringFunction;
     use rf_table::Column;
 
@@ -283,6 +317,37 @@ mod tests {
                 json: Arc::new(json),
             },
         }
+    }
+
+    #[test]
+    fn an_entry_is_charged_the_analysis_it_keeps_alive() {
+        let f = label_for(3);
+        let analysis = AnalysisContext::prepare(Arc::clone(&f.table), Arc::new(f.config.clone()))
+            .unwrap()
+            .prepared;
+        let with_analysis = f.cost() + analysis.approx_heap_bytes();
+        let mut cache = LabelCache::new(4, with_analysis);
+        cache.insert_keeping(
+            f.key,
+            Arc::clone(&f.table),
+            f.value.clone(),
+            Some(Arc::clone(&analysis)),
+        );
+        assert_eq!(cache.stats().bytes, with_analysis);
+        assert_eq!(Arc::strong_count(&analysis), 2, "the entry holds it");
+        // One byte short: the label is cached without its analysis.
+        let mut tight = LabelCache::new(4, with_analysis - 1);
+        tight.insert_keeping(
+            f.key,
+            Arc::clone(&f.table),
+            f.value.clone(),
+            Some(Arc::clone(&analysis)),
+        );
+        assert_eq!(tight.stats().entries, 1);
+        assert_eq!(tight.stats().bytes, f.cost());
+        assert_eq!(Arc::strong_count(&analysis), 2);
+        cache.clear();
+        assert_eq!(Arc::strong_count(&analysis), 1, "cleared with its entry");
     }
 
     #[test]

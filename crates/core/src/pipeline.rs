@@ -35,8 +35,8 @@
 //! [`AnalysisPipeline::generate_sweep`] amortizes one preparation across a
 //! whole sweep of `k` values — the ranking is computed once and re-rendered
 //! per `k` through [`AnalysisContext::with_config`].  The label service's
-//! cold misses take the same path across requests: it keeps each live
-//! table's last [`PreparedAnalysis`] (see [`crate::service`]).
+//! cold misses take the same path across requests: its cached labels keep
+//! the [`PreparedAnalysis`] they were rendered from (see [`crate::service`]).
 //!
 //! Both schedules consume identical inputs in identical order, so their
 //! outputs are byte-identical after JSON rendering — asserted by
@@ -170,6 +170,34 @@ impl PreparedAnalysis {
                 .zip(theirs.weights())
                 .all(|(a, b)| a.weight.to_bits() == b.weight.to_bits())
             && self.prepared_for.sensitive_attributes == config.sensitive_attributes
+    }
+
+    /// Approximate heap footprint: the ranking, group memberships,
+    /// normalized matrix and, once computed, the Ingredients core — what a
+    /// label cache entry that keeps this alive is charged for it.
+    #[must_use]
+    pub fn approx_heap_bytes(&self) -> usize {
+        let ranking = self.ranking.len() * std::mem::size_of::<rf_ranking::RankedItem>();
+        let groups: usize = self
+            .protected_groups
+            .iter()
+            .map(|group| {
+                group.len()
+                    + group.attribute.len()
+                    + group.protected_value.len()
+                    + group.non_protected_value.len()
+            })
+            .sum();
+        let normalized: usize = self
+            .normalized_scoring
+            .iter()
+            .map(|(name, values)| name.len() + std::mem::size_of_val(values.as_slice()))
+            .sum();
+        let ingredients = match self.ingredients.get() {
+            Some(Ok(core)) => core.approx_heap_bytes(),
+            _ => 0,
+        };
+        ranking + groups + normalized + ingredients
     }
 }
 

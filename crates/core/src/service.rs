@@ -24,8 +24,10 @@
 //! So [`ServiceStats::preparations`] counts distinct `(table, recipe)`
 //! preparations, not cold labels: relabelling a catalogue table at a new
 //! `k`, `alpha` or Monte-Carlo seed prepares nothing.  The prepared state is
-//! kept per live table (one recipe each, the last) and dies with its table;
-//! [`LabelService::clear_cache`] drops it together with the labels.
+//! held by the cached labels rendered from it and charged to the cache's
+//! byte bound, so it is evicted with them and
+//! [`LabelService::clear_cache`] drops it together with the labels; the table
+//! memo only points at each live table's last one.
 //!
 //! The service is `Sync`; one instance is shared across worker threads by
 //! `Arc` (the server does exactly that), with the cache behind a mutex held
@@ -157,18 +159,20 @@ pub struct ReactorCounters {
 ///   server's catalog) are hashed once instead of once per request —
 ///   fingerprinting is linear in the table, and it sits on the warm hit
 ///   path;
-/// - the [`PreparedAnalysis`] of the table's last cold label, so a cold
-///   label of the same table and recipe (a new `k`, `alpha` or Monte-Carlo
-///   seed) renders from it instead of preparing again.
+/// - the [`PreparedAnalysis`] the table's last preparation produced, so a
+///   cold label of the same table and recipe (a new `k`, `alpha` or
+///   Monte-Carlo seed) renders from it instead of preparing again.
 ///
-/// Entries hold `Weak` references: an entry is only reused when the weak
-/// pointer upgrades to the *same allocation* as the request's `Arc`, so a
-/// recycled address can never serve a stale hash or analysis.  `Table` has
+/// Entries hold `Weak` references only: an entry is only reused when the
+/// weak pointer upgrades to the *same allocation* as the request's `Arc`, so
+/// a recycled address can never serve a stale hash or analysis.  `Table` has
 /// no interior mutability, so an alive shared allocation cannot have
-/// changed.  Nothing in an entry holds the table alive, and dead entries are
-/// pruned on every insert and on [`LabelService::clear_cache`], so the
-/// memo's footprint follows the tables that callers (and the label cache)
-/// keep.  Fresh allocations (per-request uploads) simply miss and hash.
+/// changed.  Nothing in an entry holds the table or the analysis alive — the
+/// label cache entries rendered from an analysis hold it, under the cache's
+/// byte bound — and dead entries are pruned on every insert and on
+/// [`LabelService::clear_cache`], so the memo's footprint follows the tables
+/// that callers (and the label cache) keep.  Fresh allocations (per-request
+/// uploads) simply miss and hash.
 #[derive(Debug, Default)]
 struct TableMemo {
     entries: HashMap<usize, TableEntry>,
@@ -178,8 +182,9 @@ struct TableMemo {
 struct TableEntry {
     table: Weak<Table>,
     fingerprint: u64,
-    /// What the table's last cold label prepared, if any.
-    prepared: Option<Arc<PreparedAnalysis>>,
+    /// What the table's last preparation produced, while a cached label (or
+    /// a label in flight) still holds it.
+    prepared: Weak<PreparedAnalysis>,
 }
 
 impl TableMemo {
@@ -201,7 +206,7 @@ impl TableMemo {
             TableEntry {
                 table: Arc::downgrade(table),
                 fingerprint,
-                prepared: None,
+                prepared: Weak::new(),
             },
         );
         fingerprint
@@ -213,14 +218,14 @@ impl TableMemo {
         table: &Arc<Table>,
         config: &LabelConfig,
     ) -> Option<Arc<PreparedAnalysis>> {
-        let prepared = self.entry_mut(table)?.prepared.as_ref()?;
-        prepared.serves(config).then(|| Arc::clone(prepared))
+        let prepared = self.entry_mut(table)?.prepared.upgrade()?;
+        prepared.serves(config).then_some(prepared)
     }
 
-    /// Keeps `prepared` as the table's analysis, replacing its last one.
+    /// Points the table's entry at `prepared`, a fresh preparation of it.
     fn keep(&mut self, table: &Arc<Table>, prepared: &Arc<PreparedAnalysis>) {
         if let Some(entry) = self.entry_mut(table) {
-            entry.prepared = Some(Arc::clone(prepared));
+            entry.prepared = Arc::downgrade(prepared);
         }
     }
 
@@ -228,15 +233,6 @@ impl TableMemo {
     fn prune(&mut self) {
         self.entries
             .retain(|_, entry| entry.table.strong_count() > 0);
-    }
-
-    /// Prunes, then drops every live table's prepared analysis (its
-    /// fingerprint stays: it is a function of the bytes alone).
-    fn forget_prepared(&mut self) {
-        self.prune();
-        for entry in self.entries.values_mut() {
-            entry.prepared = None;
-        }
     }
 }
 
@@ -316,7 +312,8 @@ impl Drop for InflightGuard<'_> {
 pub struct LabelService {
     pipeline: AnalysisPipeline,
     cache: Mutex<LabelCache>,
-    /// Each live table's fingerprint and last prepared analysis.
+    /// Each live table's fingerprint and a `Weak` of its last prepared
+    /// analysis.
     tables: Mutex<TableMemo>,
     /// Per-key single-flight slots for generations currently running.
     inflight: Mutex<HashMap<CacheKey, Arc<Inflight>>>,
@@ -491,30 +488,36 @@ impl LabelService {
         if let Some(hit) = self.disk_lookup(key, table, config) {
             return Ok(hit);
         }
-        // A cold label of a table and recipe this service already prepared
-        // shares that analysis; only `config`'s validation runs again.
+        // A cold label of a table and recipe whose analysis a cached label
+        // still holds shares it; only `config`'s validation runs again.
         let reusable = self
             .tables
             .lock()
             .expect("table memo lock")
             .prepared(table, config);
+        let fresh = reusable.is_none();
         let ctx = self
             .pipeline
             .prepare_reusing(Arc::clone(table), Arc::clone(config), reusable)?;
-        self.tables
-            .lock()
-            .expect("table memo lock")
-            .keep(table, &ctx.prepared);
+        if fresh {
+            self.tables
+                .lock()
+                .expect("table memo lock")
+                .keep(table, &ctx.prepared);
+        }
         let label = self.pipeline.render(&ctx)?;
         let cached = CachedLabel {
             json: Arc::new(label.to_json()?),
             label: Arc::new(label),
         };
         if !Self::is_truncated(&cached) {
-            self.cache.lock().expect("label cache lock").insert(
+            // The entry keeps the analysis alive for later cold labels and
+            // is charged for it.
+            self.cache.lock().expect("label cache lock").insert_keeping(
                 key,
                 Arc::clone(table),
                 cached.clone(),
+                Some(Arc::clone(&ctx.prepared)),
             );
             if let Some(disk) = &self.disk {
                 // Write-behind: the store's background writer frames,
@@ -628,9 +631,9 @@ impl LabelService {
         }
     }
 
-    /// Drops every cached label and every prepared analysis (counters keep
-    /// their history): the next label of any table is computed from
-    /// scratch.
+    /// Drops every cached label and, with them, every prepared analysis that
+    /// no generation in flight still holds (counters keep their history):
+    /// the next label of any table is computed from scratch.
     ///
     /// This is the invalidation hook for mutable-catalog deployments: the
     /// server calls it whenever a dataset is uploaded into its catalogue, so
@@ -643,10 +646,7 @@ impl LabelService {
     /// allocation).
     pub fn clear_cache(&self) {
         self.cache.lock().expect("label cache lock").clear();
-        self.tables
-            .lock()
-            .expect("table memo lock")
-            .forget_prepared();
+        self.tables.lock().expect("table memo lock").prune();
         // The disk tier is purged too — and `DiskStore::clear` first drains
         // its write-behind queue, so an upload can never race a queued fill
         // into surviving the invalidation.
@@ -725,8 +725,9 @@ mod tests {
         let old_prepared = {
             let tables = service.tables.lock().unwrap();
             let entry = tables.entries.values().next().expect("one memo entry");
-            Arc::downgrade(entry.prepared.as_ref().expect("prepared state kept"))
+            entry.prepared.clone()
         };
+        assert!(old_prepared.upgrade().is_some(), "prepared state kept");
         // Upload new bytes under the same name: replace the catalogue entry,
         // then invalidate, as the server does.
         let mut uploaded = catalogue["data"].select(&["name", "grp"]).unwrap();
@@ -757,6 +758,87 @@ mod tests {
         assert_ne!(relabelled.json, first.json);
         assert_eq!(service.stats().preparations, 2);
         assert_eq!(service.tables.lock().unwrap().entries.len(), 1);
+    }
+
+    /// A fresh allocation of new bytes, as `POST /labels` makes one per
+    /// request: `rows` rows whose scores `seed` shuffles.
+    fn upload(seed: usize, rows: usize) -> Arc<Table> {
+        let table = Table::from_columns(vec![
+            (
+                "name",
+                Column::from_strings((0..rows).map(|i| format!("r{i}")).collect::<Vec<_>>()),
+            ),
+            (
+                "score",
+                Column::from_f64(
+                    (0..rows)
+                        .map(|i| ((i * 7919 + seed) % rows) as f64)
+                        .collect(),
+                ),
+            ),
+            (
+                "grp",
+                Column::from_strings(
+                    (0..rows)
+                        .map(|i| if i % 3 == 0 { "x" } else { "y" })
+                        .collect::<Vec<_>>(),
+                ),
+            ),
+        ])
+        .unwrap();
+        Arc::new(table)
+    }
+
+    #[test]
+    fn uploads_and_their_analyses_stay_within_the_byte_bound() {
+        let (_, config) = scenario();
+        let rows = 2_000;
+        // One upload's full cost: its JSON, its table and its analysis.
+        let probe = pooled_service();
+        probe.label(&upload(0, rows), &config).unwrap();
+        let cost = probe.stats().cache.bytes;
+        let max_bytes = 3 * cost + cost / 2;
+        let service = LabelService::with_pipeline(
+            AnalysisPipeline::with_pool(Arc::new(rf_runtime::ThreadPool::new(2))),
+            DEFAULT_CACHE_CAPACITY,
+            max_bytes,
+        );
+        let mut uploaded = Vec::new();
+        for seed in 1..=10 {
+            let table = upload(seed, rows);
+            service.label(&table, &config).unwrap();
+            let prepared = {
+                let tables = service.tables.lock().unwrap();
+                tables.entries[&(Arc::as_ptr(&table) as usize)]
+                    .prepared
+                    .clone()
+            };
+            uploaded.push((Arc::downgrade(&table), prepared));
+            // The request ends: only the service can still hold the upload.
+            drop(table);
+            let stats = service.stats();
+            assert!(stats.cache.bytes <= max_bytes);
+            let mut retained = 0;
+            let mut analyses = 0;
+            for (table, prepared) in &uploaded {
+                if let Some(table) = table.upgrade() {
+                    retained += table.approx_heap_bytes();
+                }
+                if let Some(prepared) = prepared.upgrade() {
+                    retained += prepared.approx_heap_bytes();
+                    analyses += 1;
+                }
+            }
+            assert!(
+                retained <= stats.cache.bytes,
+                "upload {seed}: {retained} B of tables and analyses retained, \
+                 {} B charged",
+                stats.cache.bytes
+            );
+            assert!(analyses >= 1, "the latest upload keeps its analysis");
+            assert!(analyses <= stats.cache.entries);
+        }
+        assert!(service.stats().cache.evictions > 0);
     }
 
     #[test]

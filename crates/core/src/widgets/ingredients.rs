@@ -212,6 +212,16 @@ impl IngredientsCore {
             model_r_squared,
         })
     }
+
+    /// Approximate heap footprint: every attribute's name and row order.
+    pub(crate) fn approx_heap_bytes(&self) -> usize {
+        self.attributes
+            .iter()
+            .map(|attribute| {
+                attribute.name.len() + std::mem::size_of_val(attribute.order.as_slice())
+            })
+            .sum()
+    }
 }
 
 impl IngredientsWidget {
