@@ -323,8 +323,28 @@ fn label_hot_path(c: &mut Criterion) {
     group.finish();
 }
 
-/// The host the report was measured on: its available parallelism and, on
-/// Linux, the CPU model from `/proc/cpuinfo`.
+/// The vector extensions that pick the trial's code paths (the ChaCha8
+/// refills and the Kendall-tau count) on this CPU.
+fn cpu_flags() -> Vec<&'static str> {
+    #[cfg(target_arch = "x86_64")]
+    {
+        [
+            ("avx2", std::arch::is_x86_feature_detected!("avx2")),
+            ("avx512f", std::arch::is_x86_feature_detected!("avx512f")),
+        ]
+        .into_iter()
+        .filter_map(|(flag, present)| present.then_some(flag))
+        .collect()
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        Vec::new()
+    }
+}
+
+/// The host the report was measured on: its available parallelism, the
+/// vector extensions the trial uses, and, on Linux, the CPU model from
+/// `/proc/cpuinfo`.
 fn host_json() -> String {
     let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
     let cpu = std::fs::read_to_string("/proc/cpuinfo")
@@ -336,10 +356,15 @@ fn host_json() -> String {
                 .map(|(_, model)| model.trim().replace('"', "'"))
         })
         .unwrap_or_else(|| "unknown".to_string());
+    let flags: Vec<String> = cpu_flags()
+        .iter()
+        .map(|flag| format!("\"{flag}\""))
+        .collect();
     format!(
-        "{{\"os\": \"{}\", \"arch\": \"{}\", \"cpu\": \"{cpu}\", \"available_parallelism\": {parallelism}}}",
+        "{{\"os\": \"{}\", \"arch\": \"{}\", \"cpu\": \"{cpu}\", \"cpu_flags\": [{}], \"available_parallelism\": {parallelism}}}",
         std::env::consts::OS,
         std::env::consts::ARCH,
+        flags.join(", "),
     )
 }
 
@@ -519,7 +544,7 @@ fn emit_report(c: &mut Criterion) {
          \"materialized\": \"evaluate_materialized reference: perturbed Table per draw, unperturbed columns Arc-shared\",\n    \
          \"columnar\": \"TrialKernel hot path: flat column buffers, reusable scratch, no per-trial tables\"\n  }},\n  \
          \"scenarios\": [\n{}\n  ],\n  \"batch_sweep_rows_2000_trials_256\": [\n{}\n  ],\n  \
-         \"rows_sweep_schema_note\": \"each entry: one synthetic dense scenario (rf_datasets::SynthScenarioConfig, 4 score columns, min-max recipe) at the given row count; a trial is the kernel's re-rank plus Kendall's tau against the original ranking (blocked Fenwick inversion count read in order off the argsort's original positions); tiled is the blocked TILE-row kernel (packed 8-byte byte-pass argsort), tiled_relaxed_fp additionally reassociates float reductions (~1e-9 relative score drift, off by default); noise draws come from the ziggurat sampler\",\n  \
+         \"rows_sweep_schema_note\": \"each entry: one synthetic dense scenario (rf_datasets::SynthScenarioConfig, 4 score columns, min-max recipe) at the given row count; a trial is the kernel's re-rank plus Kendall's tau against the original ranking (inversion count read off the argsort's original positions: a bit-sliced AVX-512 partition where the host has AVX-512F, the blocked Fenwick count elsewhere; see host.cpu_flags); tiled is the blocked TILE-row kernel (packed 8-byte byte-pass argsort), tiled_relaxed_fp additionally reassociates float reductions (~1e-9 relative score drift, off by default); noise draws come from the ziggurat sampler\",\n  \
          \"rows_sweep\": [\n{}\n  ]\n}}\n",
         host_json(),
         scenario_entries.join(",\n"),

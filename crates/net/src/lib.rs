@@ -14,7 +14,7 @@
 //!                           └──────── eventfd wake ◄── Completions
 //! ```
 //!
-//! * [`sys`] — the only `unsafe` in the workspace: raw `epoll`/`eventfd`/
+//! * [`sys`] — the only `unsafe` in this crate: raw `epoll`/`eventfd`/
 //!   socket bindings (Linux-only, no external dependencies), including
 //!   [`sys::listen_reuseport`] for `SO_REUSEPORT` shard listeners.
 //! * [`metrics`] — per-reactor counters

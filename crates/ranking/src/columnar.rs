@@ -57,7 +57,8 @@
 //! payload.  The sorted payloads are the trial's ranking written in original
 //! positions, and a permutation and its inverse have the same inversions,
 //! so Kendall's tau counts them in order (Knight 1966), with no rank vector
-//! scattered or gathered.  The top-k overlap counts the payloads below `k`
+//! scattered or gathered: a bit-sliced AVX-512 partition where the CPU has
+//! it, the blocked Fenwick count elsewhere (see `crate::compare`).  The top-k overlap counts the payloads below `k`
 //! among the first `k`; the top item changed when the first payload is not
 //! `0`.
 
@@ -74,6 +75,7 @@
 //! identical.  The flag defaults to **off**: the exact path remains
 //! byte-identical to the materialized reference.
 
+use crate::compare::InversionScratch;
 use crate::error::{RankingError, RankingResult};
 use crate::perturb::fill_gaussian;
 use crate::ranking::Ranking;
@@ -322,9 +324,10 @@ pub struct TrialKernel {
 }
 
 /// Reusable per-trial working memory: perturbed column buffers, jittered
-/// weights, normalization parameters, scores, and the argsort's words.
-/// Create once ([`TrialKernel::scratch`]) and reuse across trials —
-/// after the first trial, [`TrialKernel::rank_trial`] allocates nothing.
+/// weights, normalization parameters, scores, the argsort's words, and the
+/// Kendall-tau count's buffers.  Create once ([`TrialKernel::scratch`]) and
+/// reuse across trials — after the first trial, [`TrialKernel::rank_trial`]
+/// and [`TrialScratch::kendall_tau`] allocate nothing.
 #[derive(Debug, Clone, Default)]
 pub struct TrialScratch {
     /// Perturbed packed values, one buffer per kernel column.
@@ -345,10 +348,10 @@ pub struct TrialScratch {
     /// Ping-pong buffer of the argsort passes; the sort keys below
     /// [`RADIX_CUTOFF`].
     tmp: Vec<u64>,
-    /// Kendall-tau scratch: one occupancy bit per rank, 64 ranks per word.
-    masks: Vec<u64>,
-    /// Kendall-tau scratch: the Fenwick tree of seen ranks per mask word.
-    tree: Vec<usize>,
+    /// Kendall-tau scratch: the bit-sliced count's two `u32` ping-pong
+    /// buffers of `n + 16` entries on AVX-512 hosts, the blocked Fenwick
+    /// count's occupancy masks and tree elsewhere.
+    tau: InversionScratch,
 }
 
 impl TrialScratch {
@@ -369,8 +372,7 @@ impl TrialScratch {
         crate::compare::kendall_tau_with_scratch(
             self.words.iter().map(|&word| word as u32 as usize),
             self.words.len(),
-            &mut self.masks,
-            &mut self.tree,
+            &mut self.tau,
         )
     }
 }

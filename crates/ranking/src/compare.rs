@@ -4,7 +4,11 @@
 //! and asks how far the perturbed ranking drifted from the original.  Three
 //! classic measures are provided:
 //!
-//! * [`kendall_tau_rankings`] — Kendall's tau on the rank vectors.
+//! * [`kendall_tau_rankings`] — Kendall's tau on the rank vectors, from an
+//!   inversion count: a bit-sliced partition in the `avx512` module on CPUs
+//!   with AVX-512 (the crate's only `unsafe` code), a blocked Fenwick tree
+//!   elsewhere.  Both give the same integer, so tau's bits do not depend on
+//!   the CPU.
 //! * [`spearman_rho_rankings`] — Spearman's rho on the rank vectors.
 //! * [`footrule_distance`] — Spearman's footrule (total absolute rank
 //!   displacement), plus its normalized variant.
@@ -12,6 +16,10 @@
 use crate::error::{RankingError, RankingResult};
 use crate::ranking::Ranking;
 use rf_stats::spearman;
+
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod avx512;
 
 /// Validates that the two rankings cover the same number of items.
 fn validate_same_items(a: &Ranking, b: &Ranking) -> RankingResult<()> {
@@ -28,8 +36,10 @@ fn validate_same_items(a: &Ranking, b: &Ranking) -> RankingResult<()> {
 /// Returns 1.0 for identical orders and −1.0 for exactly reversed orders.
 ///
 /// Because a [`Ranking`] is a tie-free permutation, tau reduces to an
-/// inversion count (Knight 1966), which a blocked Fenwick tree counts in one
-/// pass; the Monte-Carlo trials count the same way in reused buffers
+/// inversion count (Knight 1966).  On a CPU with AVX-512 a bit-sliced
+/// partition counts it; elsewhere a blocked Fenwick tree counts it in one
+/// pass.  Both give the same integer, and the Monte-Carlo trials count the
+/// same way in reused buffers
 /// ([`TrialScratch::kendall_tau`](crate::TrialScratch::kendall_tau)).  The
 /// FA*IR re-ranker, the mitigation view and the
 /// materialized Monte-Carlo reference call this on every candidate ranking,
@@ -53,27 +63,55 @@ pub fn kendall_tau_rankings(a: &Ranking, b: &Ranking) -> RankingResult<f64> {
     Ok(kendall_tau_with_scratch(
         a.items().iter().map(|item| position_in_b[item.index] - 1),
         a.len(),
-        &mut Vec::new(),
-        &mut Vec::new(),
+        &mut InversionScratch::default(),
     ))
+}
+
+/// Reusable buffers of the inversion count behind Kendall's tau; only the
+/// path this CPU runs fills its own.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct InversionScratch {
+    /// Blocked Fenwick count: one occupancy bit per value, 64 per word.
+    masks: Vec<u64>,
+    /// Blocked Fenwick count: the Fenwick tree of seen values per mask word.
+    tree: Vec<usize>,
+    /// Bit-sliced count: the partition's ping-pong buffers, `n + 16`
+    /// entries each.
+    front: Vec<u32>,
+    /// See `front`.
+    back: Vec<u32>,
 }
 
 /// Kendall's tau between two rankings of the same `n >= 2` items, given as
 /// the sequence that lists, in one ranking's order, each item's 0-based
 /// position in the other: the inversions of that sequence are the pairs the
-/// two rankings order differently.  `masks` and `tree` are the blocked
-/// Fenwick count's scratch, cleared and refilled, so the Monte-Carlo trials
-/// reuse them.
+/// two rankings order differently.  `scratch` is cleared and refilled, so
+/// the Monte-Carlo trials reuse it.
 pub(crate) fn kendall_tau_with_scratch(
     positions: impl Iterator<Item = usize>,
     n: usize,
-    masks: &mut Vec<u64>,
-    tree: &mut Vec<usize>,
+    scratch: &mut InversionScratch,
 ) -> f64 {
     debug_assert!(n >= 2, "caller validates the ranking size");
-    let inversions = count_inversions_blocked(positions, n, masks, tree);
+    let inversions = count_inversions(positions, n, scratch);
     let total_pairs = (n * (n - 1) / 2) as f64;
     1.0 - 2.0 * inversions as f64 / total_pairs
+}
+
+/// Counts the inversions of `values`, a permutation of `0..n`, on the
+/// fastest path this CPU offers: the bit-sliced partition of the `avx512`
+/// module where AVX-512 runs and `n` fits a `u32`, the blocked Fenwick
+/// count otherwise.  Both return the same integer.
+fn count_inversions(
+    values: impl Iterator<Item = usize>,
+    n: usize,
+    scratch: &mut InversionScratch,
+) -> u64 {
+    #[cfg(target_arch = "x86_64")]
+    if avx512::available() && u32::try_from(n).is_ok() {
+        return avx512::count_inversions(values, n, &mut scratch.front, &mut scratch.back);
+    }
+    count_inversions_blocked(values, n, &mut scratch.masks, &mut scratch.tree)
 }
 
 /// Counts the inversions of `values` — pairs `i < j` with
@@ -85,7 +123,8 @@ pub(crate) fn kendall_tau_with_scratch(
 /// earlier values below `v` is then a block-prefix query plus one popcount
 /// inside `v`'s block, and each value adds `seen − below` inversions.  Both
 /// buffers are cleared and refilled; together they take ~`bound / 4` bytes,
-/// so a 20k-row count stays in L1.
+/// so a 20k-row count stays in L1.  This is the portable path of
+/// [`count_inversions`] and the oracle its AVX-512 path is tested against.
 fn count_inversions_blocked(
     values: impl Iterator<Item = usize>,
     bound: usize,
@@ -277,20 +316,100 @@ mod tests {
             // The Monte-Carlo path reads the trial's ranking as original
             // positions; the inverse permutation has the same inversions,
             // so it gives the same tau bit for bit.
-            let (mut masks, mut tree) = (Vec::new(), Vec::new());
-            let tau = kendall_tau_with_scratch(values.iter().copied(), n, &mut masks, &mut tree);
+            let mut scratch = InversionScratch::default();
+            let tau = kendall_tau_with_scratch(values.iter().copied(), n, &mut scratch);
             let mut inverse = vec![0usize; n];
             for (position, &value) in values.iter().enumerate() {
                 inverse[value] = position;
             }
-            let inverse_tau =
-                kendall_tau_with_scratch(inverse.into_iter(), n, &mut masks, &mut tree);
+            let inverse_tau = kendall_tau_with_scratch(inverse.into_iter(), n, &mut scratch);
             let total_pairs = (n * (n - 1) / 2) as f64;
             prop_assert_eq!(
                 tau.to_bits(),
                 (1.0 - 2.0 * inversions as f64 / total_pairs).to_bits()
             );
             prop_assert_eq!(inverse_tau.to_bits(), tau.to_bits());
+        }
+    }
+
+    /// Sizes around the bit-sliced count's 16-lane vectors, its 64-value
+    /// leaves and its levels, and the 20k rows of the benchmark's table.
+    const BIT_SLICED_SIZES: [usize; 15] = [
+        2, 3, 15, 16, 17, 63, 64, 65, 127, 128, 129, 4095, 4096, 4097, 20_000,
+    ];
+
+    /// A permutation of `0..n` of shape `kind`: random, the identity, the
+    /// reversal, or trial-shaped near-identity.
+    fn permutation(kind: usize, n: usize, rng: &mut ChaCha8Rng) -> Vec<usize> {
+        match kind {
+            0 => shuffled(n, rng),
+            1 => (0..n).collect(),
+            2 => (0..n).rev().collect(),
+            _ => window_displaced(n, rng),
+        }
+    }
+
+    /// The dispatched count of `values` — the bit-sliced one on AVX-512
+    /// hosts — run on a scratch dirtied by a larger count first.
+    fn dispatched(values: &[usize]) -> u64 {
+        let mut scratch = InversionScratch::default();
+        let bound = values.len() + 200;
+        super::count_inversions((0..bound).rev(), bound, &mut scratch);
+        super::count_inversions(values.iter().copied(), values.len(), &mut scratch)
+    }
+
+    /// The AVX-512 count itself, on dirtied buffers; `None` on hosts
+    /// without AVX-512.
+    fn bit_sliced(values: &[usize]) -> Option<u64> {
+        #[cfg(target_arch = "x86_64")]
+        if avx512::available() {
+            let (mut front, mut back) = (Vec::new(), Vec::new());
+            let bound = values.len() + 200;
+            avx512::count_inversions(0..bound, bound, &mut front, &mut back);
+            let n = values.len();
+            return Some(avx512::count_inversions(
+                values.iter().copied(),
+                n,
+                &mut front,
+                &mut back,
+            ));
+        }
+        None
+    }
+
+    proptest! {
+        #[test]
+        fn bit_sliced_inversion_count_matches_fenwick_and_oracle(
+            seed in any::<u64>(),
+            size in 0usize..BIT_SLICED_SIZES.len(),
+            kind in 0usize..4,
+        ) {
+            let n = BIT_SLICED_SIZES[size];
+            let values = permutation(kind, n, &mut ChaCha8Rng::seed_from_u64(seed));
+            let inversions = oracle(&values);
+            prop_assert_eq!(blocked(&values), inversions);
+            prop_assert_eq!(dispatched(&values), inversions);
+            if let Some(count) = bit_sliced(&values) {
+                prop_assert_eq!(count, inversions);
+            }
+        }
+    }
+
+    #[test]
+    fn bit_sliced_inversion_count_matches_on_every_size_and_shape() {
+        if bit_sliced(&[1, 0]).is_none() {
+            eprintln!("no AVX-512 on this CPU: the bit-sliced count is skipped");
+        }
+        for n in BIT_SLICED_SIZES {
+            for kind in 0..4 {
+                let values = permutation(kind, n, &mut ChaCha8Rng::seed_from_u64(n as u64));
+                let inversions = oracle(&values);
+                assert_eq!(blocked(&values), inversions, "n={n}, kind {kind}");
+                assert_eq!(dispatched(&values), inversions, "n={n}, kind {kind}");
+                if let Some(count) = bit_sliced(&values) {
+                    assert_eq!(count, inversions, "n={n}, kind {kind}");
+                }
+            }
         }
     }
 

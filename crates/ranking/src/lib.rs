@@ -27,7 +27,8 @@
 //!   average overlap, rank-biased overlap, τ-AP), the "rank-aware similarity"
 //!   alternative the paper mentions for deriving Ingredients (§2.1).
 
-#![forbid(unsafe_code)]
+// One module may opt in: the AVX-512 inversion count behind Kendall's tau.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod columnar;

@@ -613,16 +613,20 @@ mod tests {
         #[test]
         fn fill_gaussian_equals_per_value_draws(
             seed in any::<u64>(),
-            pick in 0usize..10,
-            skew in 0u32..2,
+            pick in 0usize..14,
+            skew in 0u32..300,
         ) {
-            // Block-boundary lengths around the 64/128 marks, and a few
-            // thousand, which spans several staged reads and the wedge and
-            // tail branches.
-            let len = [0usize, 1, 63, 64, 65, 127, 128, 129, 2_500, 4_097][pick];
+            // Block-boundary lengths around the 64/128 marks, around one
+            // 1 KiB direct generator refill (128 draws) and one 2 KiB
+            // staged read (256), and a few thousand, which spans several
+            // staged reads and the wedge and tail branches.
+            let len = [0usize, 1, 63, 64, 65, 127, 128, 129, 255, 256, 257, 2_500, 4_097, 20_000]
+                [pick];
             let mut bulk_rng = ChaCha8Rng::seed_from_u64(seed);
             let mut reference_rng = ChaCha8Rng::seed_from_u64(seed);
-            // An odd word offset first, for half the cases.
+            // A word offset first: odd in about half the cases, and ending
+            // anywhere in the generator's first two buffers, so the fill's
+            // direct refills start mid-stream.
             for _ in 0..skew {
                 prop_assert_eq!(bulk_rng.next_u32(), reference_rng.next_u32());
             }

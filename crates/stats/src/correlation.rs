@@ -84,8 +84,9 @@ fn pearson_of_ranks(rank_x: &[f64], rank_y: &[f64]) -> StatsResult<f64> {
 /// both inputs exactly.  The label's comparisons of two rankings of the same
 /// items, including the Monte-Carlo stability estimator's, do not use it:
 /// rankings have no ties, so `rf_ranking::kendall_tau_rankings` counts
-/// their discordant pairs as inversions with a blocked Fenwick tree instead,
-/// and its tests check that count against this function.
+/// their discordant pairs as inversions instead (a bit-sliced partition on
+/// AVX-512 CPUs, a blocked Fenwick tree elsewhere), and its tests check
+/// that count against this function.
 ///
 /// # Errors
 /// Returns an error if the slices differ in length, have fewer than two
